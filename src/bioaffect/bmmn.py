@@ -323,17 +323,18 @@ class BmmnModel:
             )
         return T.linear(merged, self.store["head.fc.w"], self.store["head.fc.b"])
 
-    def forward_graph(self, inputs) -> tuple:
-        """Build the full graph; returns (estimate, reconstructions, originals).
+    def _estimate_graph(self, inputs) -> tuple:
+        """Build the graph up to the head; returns (estimate, codes, originals).
 
-        Reconstructions are present only when the auto-encoders take part
-        in the active variant.
+        `codes` maps each channel to its encoder's (latent, pool indices)
+        when the auto-encoders take part in the active variant; nothing
+        is decoded here.
         """
         if not isinstance(inputs, ModelInput):
             inputs = ModelInput.from_sample(inputs)
         spec = self.spec
         streams = []
-        recons: dict = {}
+        codes: dict = {}
         originals: dict = {}
         active = spec.streams()
         if "bio" in active:
@@ -347,15 +348,26 @@ class BmmnModel:
                 window = np.asarray(inputs.windows[ch])
                 z, idx = self.baes[ch].encode_graph(Tensor(window))
                 streams.append(z)
-                recons[ch] = self.baes[ch].decode_graph(z, idx)
+                codes[ch] = (z, idx)
                 originals[ch] = window
         if "spatial" in active:
             streams.append(self.spatial_forward(inputs.face_image, inputs.face_features))
         est = self.head_forward(streams)
+        return est, codes, originals
+
+    def forward_graph(self, inputs) -> tuple:
+        """Build the full graph; returns (estimate, reconstructions, originals).
+
+        Reconstructions are present only when the auto-encoders take part
+        in the active variant.
+        """
+        est, codes, originals = self._estimate_graph(inputs)
+        recons = {ch: self.baes[ch].decode_graph(z, idx) for ch, (z, idx) in codes.items()}
         return est, recons, originals
 
     def predict(self, inputs) -> AffectEstimate:
-        est, _, _ = self.forward_graph(inputs)
+        """Head outputs only: no reconstruction is built, as no loss reads one."""
+        est, _, _ = self._estimate_graph(inputs)
         return AffectEstimate(est.data.copy())
 
 

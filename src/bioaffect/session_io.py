@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -102,14 +103,16 @@ def write_signal_csv(path, trace: SignalTrace) -> None:
             fh.write(f"{float(t)!r},{float(v)!r}\n")
 
 
-def read_signal_csv(path, channel: Channel) -> SignalTrace:
-    path = Path(path)
-    times = []
-    values = []
+def _signal_rows_by_line(path: Path) -> np.ndarray:
+    """Parse a signal CSV body one line at a time into (rows, 2).
+
+    This is the reference reader of the format: blank and whitespace-only
+    lines are skipped, every field is read with `float`, and a bad row
+    raises a ParseError that names `file:line`.
+    """
+    rows = []
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "time_s,value":
-            raise ParseError(f"{path}:1: expected header 'time_s,value', got {header!r}")
+        fh.readline()
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -118,13 +121,34 @@ def read_signal_csv(path, channel: Channel) -> SignalTrace:
             if len(parts) != 2:
                 raise ParseError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
             try:
-                times.append(float(parts[0]))
-                values.append(float(parts[1]))
+                rows.append((float(parts[0]), float(parts[1])))
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-numeric field") from exc
+    return np.array(rows, dtype=np.float64).reshape(-1, 2)
+
+
+def read_signal_csv(path, channel: Channel) -> SignalTrace:
+    path = Path(path)
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().strip()
+        if header != "time_s,value":
+            raise ParseError(f"{path}:1: expected header 'time_s,value', got {header!r}")
+        # One array parse of the body. A body it does not read as two float
+        # columns (a whitespace-only line, a bad field, a wrong field count,
+        # no rows at all) goes to the line reader, which skips or names
+        # the offending line.
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # loadtxt's "no data"
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, UserWarning):
+            rows = None
+    if rows is None or rows.shape[1] != 2:
+        rows = _signal_rows_by_line(path)
+    times_arr = np.ascontiguousarray(rows[:, 0])
+    values = np.ascontiguousarray(rows[:, 1])
     if len(values) < 2:
         raise ParseError(f"{path}: need at least 2 samples, got {len(values)}")
-    times_arr = np.asarray(times)
     dt = np.diff(times_arr)
     if (dt <= 0).any():
         bad = int(np.argmax(dt <= 0)) + 3  # +2 header/1-based, +1 second row of pair
@@ -142,7 +166,7 @@ def read_signal_csv(path, channel: Channel) -> SignalTrace:
             f"{path}: sample rate {rate:.2f} Hz not in supported set "
             f"{SUPPORTED_SOURCE_HZ}"
         )
-    return SignalTrace(channel, rate, np.asarray(values), start_time_s=float(times_arr[0]))
+    return SignalTrace(channel, rate, values, start_time_s=float(times_arr[0]))
 
 
 def _read_frames_csv(path) -> list:

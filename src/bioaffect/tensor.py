@@ -2,9 +2,12 @@
 
 Dense float64 arrays with a tape of closures: every operation returns a
 fresh node that references its inputs and knows how to route the output
-gradient back to them. A graph is built per forward pass and released
-afterwards; parameter leaves accumulate gradients across backward calls
-until explicitly zeroed, which is how minibatches are averaged.
+gradient back to them. A graph is built per forward pass. References run
+only from a node to its inputs: no backprop closure holds its own output
+node, so the tape is acyclic and a graph is freed by reference counting
+as soon as the caller drops its last node, with no cyclic collection.
+Parameter leaves accumulate gradients across backward calls until
+explicitly zeroed, which is how minibatches are averaged.
 
 Convolutions use cross-correlation semantics (no kernel flip). The
 vectorized implementations here are checked against direct-loop
@@ -13,6 +16,7 @@ references in the test suite.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +53,7 @@ class Tensor:
     backward pass runs over them.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
@@ -99,24 +103,20 @@ class Tensor:
             raise ShapeError(
                 f"add: shapes {self.data.shape} and {other.data.shape} differ"
             )
-        out = _node(self.data + other.data, (self, other))
 
-        def backprop():
-            _accumulate(self, out.grad)
-            _accumulate(other, out.grad)
+        def backprop(g):
+            _accumulate(self, g)
+            _accumulate(other, g)
 
-        out._backprop = backprop
-        return out
+        return _node(self.data + other.data, (self, other), backprop)
 
     def __mul__(self, scalar):
         c = float(scalar)
-        out = _node(self.data * c, (self,))
 
-        def backprop():
-            _accumulate(self, c * out.grad)
+        def backprop(g):
+            _accumulate(self, c * g)
 
-        out._backprop = backprop
-        return out
+        return _node(self.data * c, (self,), backprop)
 
     __rmul__ = __mul__
 
@@ -128,9 +128,18 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(data: np.ndarray, parents: tuple) -> Tensor:
+def _node(data: np.ndarray, parents: tuple, backprop) -> Tensor:
+    """Record one op: a node over `parents` whose gradient `backprop(g)` routes.
+
+    `backprop` receives the node's gradient and must not reference the
+    node itself. `_backprop` reaches the node through a weak reference,
+    so the node does not keep itself alive and a dead graph is freed
+    by reference counting.
+    """
     out = Tensor(data)
     out._parents = parents
+    ref = weakref.ref(out)
+    out._backprop = lambda: backprop(ref().grad)
     return out
 
 
@@ -240,10 +249,8 @@ def conv1d_valid(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
         out_data = np.zeros((w.shape[0], n_out))
         for k in range(k_width):
             out_data += w[:, :, k] @ xd[:, k : k + span : stride]
-    out = _node(out_data, (x, kernels))
 
-    def backprop():
-        g = out.grad
+    def backprop(g):
         if use_fft:
             gx = _conv_sum(g, w.transpose(1, 0, 2))
             gw = _conv_pairs(g[:, ::-1], xd)[:, :, n_out - 1 : n_out - 1 + k_width]
@@ -257,8 +264,7 @@ def conv1d_valid(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
         _accumulate(kernels, gw)
         _accumulate(x, gx)
 
-    out._backprop = backprop
-    return out
+    return _node(out_data, (x, kernels), backprop)
 
 
 def conv1d_full(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
@@ -283,10 +289,8 @@ def conv1d_full(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
         out_data = np.zeros((w.shape[0], length + k_width - 1))
         for k in range(k_width):
             out_data[:, k : k + length] += w[:, :, k] @ xd
-    out = _node(out_data, (x, kernels))
 
-    def backprop():
-        g = out.grad
+    def backprop(g):
         if use_fft:
             gx = _conv_sum(g, w[:, :, ::-1].transpose(1, 0, 2))[
                 :, k_width - 1 : k_width - 1 + length
@@ -304,8 +308,7 @@ def conv1d_full(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
         _accumulate(kernels, gw)
         _accumulate(x, gx)
 
-    out._backprop = backprop
-    return out
+    return _node(out_data, (x, kernels), backprop)
 
 
 def conv2d_valid(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
@@ -342,10 +345,9 @@ def conv2d_valid(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
         for b in range(kw):
             sl = xd[:, a : a + span_h : stride, b : b + span_w : stride]
             out_flat += w[:, :, a, b] @ sl.reshape(c_in, -1)
-    out = _node(out_flat.reshape(c_out, nh, nw), (x, kernels))
 
-    def backprop():
-        g2 = out.grad.reshape(c_out, -1)
+    def backprop(g):
+        g2 = g.reshape(c_out, -1)
         gw = np.empty_like(w)
         gx = np.zeros_like(xd)
         for a in range(kh):
@@ -358,8 +360,7 @@ def conv2d_valid(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
         _accumulate(kernels, gw)
         _accumulate(x, gx)
 
-    out._backprop = backprop
-    return out
+    return _node(out_flat.reshape(c_out, nh, nw), (x, kernels), backprop)
 
 
 # --- pooling ---------------------------------------------------------------
@@ -384,16 +385,14 @@ def maxpool1d(x: Tensor, window: int, stride: int) -> tuple:
     src = arg + stride * np.arange(windows.shape[1], dtype=np.int64)[None, :]
     out_data = np.take_along_axis(windows, arg[:, :, None], axis=2)[:, :, 0]
     indices = PoolIndices(indices=src, src_len=length)
-    out = _node(np.ascontiguousarray(out_data), (x,))
     rows = np.arange(x.data.shape[0])[:, None]
 
-    def backprop():
+    def backprop(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, (rows, src), out.grad)
+        np.add.at(gx, (rows, src), g)
         _accumulate(x, gx)
 
-    out._backprop = backprop
-    return out, indices
+    return _node(np.ascontiguousarray(out_data), (x,), backprop), indices
 
 
 def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
@@ -413,16 +412,14 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     dy, dx = np.divmod(arg, window)
     ys = dy + stride * np.arange(nh, dtype=np.int64)[None, :, None]
     xs = dx + stride * np.arange(nw, dtype=np.int64)[None, None, :]
-    out = _node(np.ascontiguousarray(out_data), (x,))
     rows = np.arange(c)[:, None, None]
 
-    def backprop():
+    def backprop(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, (rows, ys, xs), out.grad)
+        np.add.at(gx, (rows, ys, xs), g)
         _accumulate(x, gx)
 
-    out._backprop = backprop
-    return out
+    return _node(np.ascontiguousarray(out_data), (x,), backprop)
 
 
 def unpool1d(x: Tensor, indices: PoolIndices, target_len: int) -> Tensor:
@@ -449,13 +446,11 @@ def unpool1d(x: Tensor, indices: PoolIndices, target_len: int) -> Tensor:
     rows = np.arange(x.data.shape[0])[:, None]
     out_data = np.zeros((x.data.shape[0], target_len))
     np.add.at(out_data, (rows, src), x.data)
-    out = _node(out_data, (x,))
 
-    def backprop():
-        _accumulate(x, out.grad[rows, src])
+    def backprop(g):
+        _accumulate(x, g[rows, src])
 
-    out._backprop = backprop
-    return out
+    return _node(out_data, (x,), backprop)
 
 
 # --- dense / pointwise -----------------------------------------------------
@@ -479,16 +474,13 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             f"linear: weight rows (axis 0) = {weight.data.shape[0]} "
             f"!= bias length = {bias.data.shape[0]}"
         )
-    out = _node(weight.data @ x.data + bias.data, (x, weight, bias))
 
-    def backprop():
-        g = out.grad
+    def backprop(g):
         _accumulate(x, weight.data.T @ g)
         _accumulate(weight, np.outer(g, x.data))
         _accumulate(bias, g)
 
-    out._backprop = backprop
-    return out
+    return _node(weight.data @ x.data + bias.data, (x, weight, bias), backprop)
 
 
 def add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
@@ -500,28 +492,24 @@ def add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
             f"(axis 0) = {x.data.shape[0]}"
         )
     shaped = bias.data.reshape((-1,) + (1,) * (x.data.ndim - 1))
-    out = _node(x.data + shaped, (x, bias))
 
-    def backprop():
-        _accumulate(x, out.grad)
+    def backprop(g):
+        _accumulate(x, g)
         trailing = tuple(range(1, x.data.ndim))
-        _accumulate(bias, out.grad.sum(axis=trailing) if trailing else out.grad)
+        _accumulate(bias, g.sum(axis=trailing) if trailing else g)
 
-    out._backprop = backprop
-    return out
+    return _node(x.data + shaped, (x, bias), backprop)
 
 
 def relu(x: Tensor) -> Tensor:
     """Clamp negatives to zero; subgradient at exactly 0 is 0."""
     x = as_tensor(x)
     mask = x.data > 0
-    out = _node(np.where(mask, x.data, 0.0), (x,))
 
-    def backprop():
-        _accumulate(x, out.grad * mask)
+    def backprop(g):
+        _accumulate(x, g * mask)
 
-    out._backprop = backprop
-    return out
+    return _node(np.where(mask, x.data, 0.0), (x,), backprop)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -529,30 +517,27 @@ def concat(tensors, axis: int = 0) -> Tensor:
     parts = [as_tensor(t) for t in tensors]
     if not parts:
         raise ShapeError("concat: need at least one tensor")
-    out = _node(np.concatenate([p.data for p in parts], axis=axis), tuple(parts))
     sizes = [p.data.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
-    def backprop():
+    def backprop(g):
         for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * out.grad.ndim
+            sl = [slice(None)] * g.ndim
             sl[axis] = slice(start, stop)
-            _accumulate(p, out.grad[tuple(sl)])
+            _accumulate(p, g[tuple(sl)])
 
-    out._backprop = backprop
-    return out
+    out_data = np.concatenate([p.data for p in parts], axis=axis)
+    return _node(out_data, tuple(parts), backprop)
 
 
 def flatten(x: Tensor) -> Tensor:
     """Row-major flatten to a vector."""
     x = as_tensor(x)
-    out = _node(x.data.reshape(-1).copy(), (x,))
 
-    def backprop():
-        _accumulate(x, out.grad.reshape(x.data.shape))
+    def backprop(g):
+        _accumulate(x, g.reshape(x.data.shape))
 
-    out._backprop = backprop
-    return out
+    return _node(x.data.reshape(-1).copy(), (x,), backprop)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -561,13 +546,11 @@ def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != x.data.size:
         raise ShapeError(f"reshape: cannot view {x.data.shape} as {shape}")
-    out = _node(x.data.reshape(shape).copy(), (x,))
 
-    def backprop():
-        _accumulate(x, out.grad.reshape(x.data.shape))
+    def backprop(g):
+        _accumulate(x, g.reshape(x.data.shape))
 
-    out._backprop = backprop
-    return out
+    return _node(x.data.reshape(shape).copy(), (x,), backprop)
 
 
 def mse_loss(pred: Tensor, target) -> Tensor:
@@ -578,13 +561,11 @@ def mse_loss(pred: Tensor, target) -> Tensor:
             f"mse_loss: shapes {pred.data.shape} and {target.data.shape} differ"
         )
     diff = pred.data - target.data
-    out = _node(np.array(np.mean(diff * diff)), (pred, target))
     scale = 2.0 / diff.size
 
-    def backprop():
-        g = out.grad * scale * diff
-        _accumulate(pred, g)
-        _accumulate(target, -g)
+    def backprop(g):
+        g_pred = g * scale * diff
+        _accumulate(pred, g_pred)
+        _accumulate(target, -g_pred)
 
-    out._backprop = backprop
-    return out
+    return _node(np.array(np.mean(diff * diff)), (pred, target), backprop)

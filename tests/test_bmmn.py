@@ -5,7 +5,7 @@ import pytest
 
 from bioaffect import bmmn
 from bioaffect import tensor as T
-from bioaffect.bae import BaeArch
+from bioaffect.bae import BaeArch, BaeModel
 from bioaffect.bmmn import (
     AffectEstimate,
     BioNetArch,
@@ -142,6 +142,18 @@ class TestForward:
         )
         b, _, _ = model.forward_graph(flipped)
         np.testing.assert_array_equal(a.data, b.data)
+
+    def test_predict_builds_no_decoder(self, monkeypatch):
+        model = toy_model("bae2", seed=7)
+        sample = toy_sample(model, np.random.default_rng(7))
+        est, recons, _ = model.forward_graph(sample)
+        assert set(recons) == set(bmmn.CHANNEL_ORDER)
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("predict must not decode")
+
+        monkeypatch.setattr(BaeModel, "decode_graph", no_decode)
+        np.testing.assert_array_equal(model.predict(sample).values, est.data)
 
 
 class TestFusionStructure:

@@ -90,6 +90,29 @@ class TestSignalCsv:
         with pytest.raises(ParseError, match="bad.csv:3"):
             read_signal_csv(path, Channel.ECG)
 
+    def test_whitespace_only_line_skipped(self, tmp_path):
+        path = tmp_path / "ws.csv"
+        rows = [f"{i / 128.0!r},{i * 0.25!r}" for i in range(300)]
+        rows.insert(150, " \t ")
+        path.write_text("time_s,value\n" + "\n".join(rows) + "\n")
+        back = read_signal_csv(path, Channel.ECG)
+        np.testing.assert_array_equal(back.samples, np.arange(300) * 0.25)
+        assert back.sample_rate_hz == 128.0
+
+    def test_bad_field_deep_in_file_reports_line(self, tmp_path):
+        path = tmp_path / "deep.csv"
+        rows = [f"{i / 128.0!r},0.5" for i in range(1200)]
+        rows[1000] = f"{1000 / 128.0!r},oops"  # line 1002 after the header
+        path.write_text("time_s,value\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match=r"deep\.csv:1002: non-numeric"):
+            read_signal_csv(path, Channel.ECG)
+
+    def test_three_field_row_reports_line(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("time_s,value\n0.0,1.0\n0.0078125,2.0\n0.015625,3.0,4.0\n")
+        with pytest.raises(ParseError, match=r"wide\.csv:4: expected 2 fields, got 3"):
+            read_signal_csv(path, Channel.ECG)
+
     def test_unsupported_rate_rejected(self, tmp_path):
         path = tmp_path / "odd.csv"
         rows = ["time_s,value"] + [f"{i / 50.0},0.0" for i in range(100)]
