@@ -32,7 +32,11 @@ class AdamState:
 
 
 def adam_step(params: ParamStore, state: AdamState) -> None:
-    """One bias-corrected Adam update, in place, over every parameter."""
+    """One bias-corrected Adam update, in place, over every parameter.
+
+    Each parameter's memo of kernel spectra is released once its values
+    have changed, since none of those spectra can be reused.
+    """
     for name, t in params.items():
         if t.grad is None:
             raise GraphError(f"adam_step: parameter {name!r} has no gradient")
@@ -51,3 +55,4 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
         v *= state.beta2
         v += (1.0 - state.beta2) * (g * g)
         p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p._spectra = None

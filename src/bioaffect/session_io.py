@@ -29,6 +29,7 @@ JSON sidecar. Record layout (little-endian):
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 import warnings
@@ -127,6 +128,14 @@ def _signal_rows_by_line(path: Path) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, 2)
 
 
+def _line_of_row(path: Path, row: int) -> int:
+    """File line (1-based) of body row `row` (0-based); blank lines hold no row."""
+    with open(path, "r", encoding="ascii") as fh:
+        fh.readline()
+        lines = (lineno for lineno, line in enumerate(fh, start=2) if line.strip())
+        return next(itertools.islice(lines, row, None))
+
+
 def read_signal_csv(path, channel: Channel) -> SignalTrace:
     path = Path(path)
     with open(path, "r", encoding="ascii") as fh:
@@ -151,11 +160,8 @@ def read_signal_csv(path, channel: Channel) -> SignalTrace:
         raise ParseError(f"{path}: need at least 2 samples, got {len(values)}")
     dt = np.diff(times_arr)
     if (dt <= 0).any():
-        bad = int(np.argmax(dt <= 0)) + 3  # +2 header/1-based, +1 second row of pair
-    else:
-        bad = None
-    if bad is not None:
-        raise ParseError(f"{path}:{bad}: timestamps must be strictly increasing")
+        line = _line_of_row(path, int(np.argmax(dt <= 0)) + 1)
+        raise ParseError(f"{path}:{line}: timestamps must be strictly increasing")
     rate = (len(times_arr) - 1) / (times_arr[-1] - times_arr[0])
     for supported in SUPPORTED_SOURCE_HZ:
         if abs(rate - supported) / supported < 0.01:
@@ -366,32 +372,53 @@ def write_samples(path, samples: list, extra_meta: dict | None = None) -> None:
 
 
 def read_samples(path) -> list:
+    """Read a processed-sample file written by `write_samples`.
+
+    A file cut anywhere, or with bytes after its last sample, raises a
+    CorruptionError that names the path and the byte offset.
+    """
     path = Path(path)
     blob = path.read_bytes()
+    size = len(blob)
+
+    def take(nbytes: int, field: str) -> int:
+        """Step over the next field; return the offset where it starts."""
+        nonlocal offset
+        start = offset
+        offset += nbytes
+        if offset > size:
+            raise CorruptionError(
+                f"{path}: truncated at byte offset {start}: {field} needs {nbytes} "
+                f"bytes, {size - start} remain"
+            )
+        return start
+
     if blob[:4] != _SAMPLES_MAGIC:
         raise CorruptionError(f"{path}: not a processed-sample file (bad magic)")
-    version, count, seg_len = struct.unpack_from("<III", blob, 4)
+    offset = 4
+    version, count, seg_len = struct.unpack_from("<III", blob, take(12, "header"))
     if version != _SAMPLES_VERSION:
         raise CorruptionError(f"{path}: unsupported sample file version {version}")
     if seg_len != SEGMENT_LEN:
         raise CorruptionError(
             f"{path}: segment length {seg_len} != expected {SEGMENT_LEN}"
         )
-    offset = 4 + struct.calcsize("<III")
+    windows = [(c, f"{c.value} window") for c in (Channel.ECG, Channel.EDA)]
     samples = []
     for _ in range(count):
-        (n,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        subject_id = blob[offset : offset + n].decode("utf-8")
-        offset += n
-        (n,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        session_id = blob[offset : offset + n].decode("utf-8")
-        offset += n
-        frame_index, timestamp = struct.unpack_from("<Id", blob, offset)
-        offset += struct.calcsize("<Id")
-        label_vec = np.frombuffer(blob[offset : offset + 80], dtype="<f8")
-        offset += 80
+        (n,) = struct.unpack_from("<H", blob, take(2, "subject id length"))
+        start = take(n, "subject id")
+        subject_id = blob[start:offset].decode("utf-8")
+        (n,) = struct.unpack_from("<H", blob, take(2, "session id length"))
+        start = take(n, "session id")
+        session_id = blob[start:offset].decode("utf-8")
+        frame_index, timestamp = struct.unpack_from(
+            "<Id", blob, take(12, "frame index and timestamp")
+        )
+        # Arrays are read from a slice, not from `blob` at an offset: after
+        # an odd-length id that view is unaligned, and copying it is ~3x slower.
+        start = take(80, "label")
+        label_vec = np.frombuffer(blob[start:offset], dtype="<f8")
         label = AffectLabel(
             valence=label_vec[0],
             arousal=label_vec[1],
@@ -399,24 +426,25 @@ def read_samples(path) -> list:
             emotions=label_vec[3:10].copy(),
         )
         segments = {}
-        for channel in (Channel.ECG, Channel.EDA):
-            window = np.frombuffer(blob[offset : offset + 8 * seg_len], dtype="<f8")
-            offset += 8 * seg_len
+        for channel, field in windows:
+            start = take(8 * seg_len, field)
+            window = np.frombuffer(blob[start:offset], dtype="<f8")
             segments[channel] = BioSegment(channel, window.copy(), frame_index)
-        kind, payload = struct.unpack_from("<BI", blob, offset)
-        offset += struct.calcsize("<BI")
+        kind, payload = struct.unpack_from("<BI", blob, take(5, "face header"))
         if kind == 0:
-            img = np.frombuffer(
-                blob[offset : offset + 8 * payload * payload], dtype="<f8"
-            ).reshape(payload, payload)
-            offset += 8 * payload * payload
-            face = FrameRecord(timestamp_s=timestamp, image=img.copy())
+            n_values = payload * payload
         elif kind == 1:
-            fv = np.frombuffer(blob[offset : offset + 8 * payload], dtype="<f8")
-            offset += 8 * payload
-            face = FrameRecord(timestamp_s=timestamp, feature_vector=fv.copy())
+            n_values = payload
         else:
-            raise CorruptionError(f"{path}: unknown face payload kind {kind}")
+            raise CorruptionError(
+                f"{path}: unknown face payload kind {kind} at byte offset {offset - 5}"
+            )
+        start = take(8 * n_values, "face payload")
+        values = np.frombuffer(blob[start:offset], dtype="<f8").copy()
+        if kind == 0:
+            face = FrameRecord(timestamp_s=timestamp, image=values.reshape(payload, payload))
+        else:
+            face = FrameRecord(timestamp_s=timestamp, feature_vector=values)
         samples.append(
             SyncedSample(
                 segments=segments,
@@ -425,5 +453,10 @@ def read_samples(path) -> list:
                 subject_id=subject_id,
                 session_id=session_id,
             )
+        )
+    if offset != size:
+        raise CorruptionError(
+            f"{path}: {size - offset} trailing bytes at byte offset {offset} "
+            f"after the last sample"
         )
     return samples

@@ -7,7 +7,16 @@ only from a node to its inputs: no backprop closure holds its own output
 node, so the tape is acyclic and a graph is freed by reference counting
 as soon as the caller drops its last node, with no cyclic collection.
 Parameter leaves accumulate gradients across backward calls until
-explicitly zeroed, which is how minibatches are averaged.
+explicitly zeroed, which is how minibatches are averaged. An interior
+node's grad is released as soon as its backprop has routed it to the
+node's inputs, so a graph backpropagated twice adds each leaf gradient
+exactly twice.
+
+The FFT path memoizes each kernel's spectrum on the kernel tensor, next
+to a copy of the values it was computed from. A spectrum is reused only
+while the kernel's values are bitwise unchanged; any in-place write
+(an optimizer step, a checkpoint load, a finite-difference probe) drops
+the memo, so reuse never changes a result.
 
 Convolutions use cross-correlation semantics (no kernel flip). The
 vectorized implementations here are checked against direct-loop
@@ -50,10 +59,13 @@ class Tensor:
     `data` is float64 and C-contiguous (row-major). Leaves created with
     `requires_grad=True` keep a grad buffer that accumulates across
     backward passes; interior nodes get a scratch grad only while a
-    backward pass runs over them.
+    backward pass runs over them. `_spectra` is the FFT path's memo of
+    kernel spectra (see `_kernel_spectrum`).
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backprop", "__weakref__")
+    __slots__ = (
+        "data", "grad", "requires_grad", "_parents", "_backprop", "_spectra", "__weakref__"
+    )
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
@@ -61,6 +73,7 @@ class Tensor:
         self.grad = np.zeros_like(self.data) if requires_grad else None
         self._parents: tuple = ()
         self._backprop = None
+        self._spectra = None
 
     @property
     def shape(self) -> tuple:
@@ -82,8 +95,9 @@ class Tensor:
         """Propagate d(self)/d(everything) through the recorded graph.
 
         Only defined for scalar outputs. Gradients are accumulated into
-        every node reachable from here, so leaf grads add up across
-        calls until zeroed.
+        every leaf reachable from here, so leaf grads add up across calls
+        until zeroed. An interior node's grad is set back to None once it
+        has been routed to the node's inputs.
         """
         if self.data.size != 1:
             raise GraphError(
@@ -94,6 +108,7 @@ class Tensor:
         for node in reversed(order):
             if node._backprop is not None:
                 node._backprop()
+                node.grad = None
 
     # Scalar arithmetic, used to combine loss terms.
 
@@ -191,11 +206,39 @@ class PoolIndices:
 _FFT_WORK_THRESHOLD = 50_000
 
 
-def _conv_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum over i of convfull(a[i], b[j, i]) -> (J, La + Lb - 1)."""
-    n = a.shape[1] + b.shape[2] - 1
+# The views of a (out, in, width) kernel that the FFT path convolves with.
+_KERNEL_VIEWS = {
+    "id": lambda w: w,
+    "flip": lambda w: w[:, :, ::-1],
+    "swap": lambda w: w.transpose(1, 0, 2),
+    "flipswap": lambda w: w[:, :, ::-1].transpose(1, 0, 2),
+}
+
+
+def _kernel_spectrum(kernels: Tensor, view: str, n: int) -> np.ndarray:
+    """`rfft` of a view of the kernel values at length n, memoized on `kernels`.
+
+    The memo holds a copy of the values its spectra came from and is
+    rebuilt whenever the current values differ from it in any bit. The
+    comparison is on the bits, not the floats, because -0.0 == 0.0 and
+    NaN != NaN.
+    """
+    w = kernels.data
+    memo = kernels._spectra
+    if memo is None or not np.array_equal(memo[0].view(np.uint64), w.view(np.uint64)):
+        memo = kernels._spectra = (w.copy(), {})
+    spectra = memo[1]
+    key = (view, n)
+    if key not in spectra:
+        spectra[key] = np.fft.rfft(_KERNEL_VIEWS[view](w), n)
+    return spectra[key]
+
+
+def _conv_sum(a: np.ndarray, kernels: Tensor, view: str) -> np.ndarray:
+    """sum over i of convfull(a[i], b[j, i]) -> (J, La + K - 1), b a kernel view."""
+    n = a.shape[1] + kernels.data.shape[2] - 1
     a_f = np.fft.rfft(a, n)
-    b_f = np.fft.rfft(b, n)
+    b_f = _kernel_spectrum(kernels, view, n)
     return np.fft.irfft(np.einsum("jif,if->jf", b_f, a_f), n)
 
 
@@ -244,7 +287,7 @@ def conv1d_valid(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
     span = (n_out - 1) * stride + 1
     use_fft = stride == 1 and xd.shape[0] * k_width * n_out > _FFT_WORK_THRESHOLD
     if use_fft:
-        out_data = _conv_sum(xd, w[:, :, ::-1])[:, k_width - 1 : k_width - 1 + n_out]
+        out_data = _conv_sum(xd, kernels, "flip")[:, k_width - 1 : k_width - 1 + n_out]
     else:
         out_data = np.zeros((w.shape[0], n_out))
         for k in range(k_width):
@@ -252,7 +295,7 @@ def conv1d_valid(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
 
     def backprop(g):
         if use_fft:
-            gx = _conv_sum(g, w.transpose(1, 0, 2))
+            gx = _conv_sum(g, kernels, "swap")
             gw = _conv_pairs(g[:, ::-1], xd)[:, :, n_out - 1 : n_out - 1 + k_width]
         else:
             gw = np.empty_like(w)
@@ -284,7 +327,7 @@ def conv1d_full(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
     length = xd.shape[1]
     use_fft = xd.shape[0] * k_width * length > _FFT_WORK_THRESHOLD
     if use_fft:
-        out_data = _conv_sum(xd, w)
+        out_data = _conv_sum(xd, kernels, "id")
     else:
         out_data = np.zeros((w.shape[0], length + k_width - 1))
         for k in range(k_width):
@@ -292,9 +335,7 @@ def conv1d_full(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
 
     def backprop(g):
         if use_fft:
-            gx = _conv_sum(g, w[:, :, ::-1].transpose(1, 0, 2))[
-                :, k_width - 1 : k_width - 1 + length
-            ]
+            gx = _conv_sum(g, kernels, "flipswap")[:, k_width - 1 : k_width - 1 + length]
             gw = _conv_pairs(xd[:, ::-1], g).transpose(1, 0, 2)[
                 :, :, length - 1 : length - 1 + k_width
             ]

@@ -49,6 +49,16 @@ class TestBackward:
             T.mse_loss(p, Tensor(np.zeros(1))).backward()
         assert p.grad[0] == pytest.approx(4.0)  # 2 * (2 * 1.0)
 
+    def test_second_backward_on_one_graph_adds_the_same_grads(self):
+        # Interior grads are released after routing, so the second call
+        # routes only the loss's own unit gradient again: 8, then 16.
+        p = Tensor(np.array([1.0]), requires_grad=True)
+        loss = T.mse_loss(p * 2.0, Tensor(np.zeros(1)))
+        loss.backward()
+        assert p.grad[0] == 8.0
+        loss.backward()
+        assert p.grad[0] == 16.0
+
     def test_reused_node_fan_out(self):
         # p feeds two branches; gradient must sum both contributions.
         p = Tensor(np.array([3.0]), requires_grad=True)

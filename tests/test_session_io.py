@@ -113,6 +113,12 @@ class TestSignalCsv:
         with pytest.raises(ParseError, match=r"wide\.csv:4: expected 2 fields, got 3"):
             read_signal_csv(path, Channel.ECG)
 
+    def test_repeated_timestamp_after_blank_line_reports_file_line(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("time_s,value\n0.0,1\n\n0.0078125,2\n0.0078125,3\n")
+        with pytest.raises(ParseError, match=r"dup\.csv:5: timestamps must be strictly"):
+            read_signal_csv(path, Channel.ECG)
+
     def test_unsupported_rate_rejected(self, tmp_path):
         path = tmp_path / "odd.csv"
         rows = ["time_s,value"] + [f"{i / 50.0},0.0" for i in range(100)]
@@ -221,4 +227,42 @@ class TestProcessedContainer:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(CorruptionError):
+            read_samples(path)
+
+    def test_truncation_names_field_and_offset(self, tmp_path):
+        path = tmp_path / "samples.bin"
+        write_samples(path, [_sample(0), _sample(1, with_features=True)])
+        blob = path.read_bytes()
+        seg = 8 * SEGMENT_LEN
+        label_at = 16 + (2 + 3) + (2 + 7) + 12
+        face_at = label_at + 80 + 2 * seg
+        cuts = {
+            10: (4, "header"),
+            19: (18, "subject id"),
+            label_at + 40: (label_at, "label"),
+            label_at + 80 + seg + 8: (label_at + 80 + seg, "EDA window"),
+            face_at + 3: (face_at, "face header"),
+            face_at + 5 + 100: (face_at + 5, "face payload"),
+            len(blob) - 1: (len(blob) - 8 * 12, "face payload"),
+        }
+        for cut, (start, field) in cuts.items():
+            path.write_bytes(blob[:cut])
+            with pytest.raises(
+                CorruptionError,
+                match=rf"samples\.bin: truncated at byte offset {start}: {field} needs",
+            ):
+                read_samples(path)
+        for cut in range(0, len(blob), 97):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CorruptionError):
+                read_samples(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "samples.bin"
+        write_samples(path, [_sample(0)])
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\x00\x00")
+        with pytest.raises(
+            CorruptionError, match=rf"2 trailing bytes at byte offset {size} after the last"
+        ):
             read_samples(path)

@@ -3,7 +3,8 @@
 Each test runs with the cyclic collector off, drops every reference, and
 then asks the collector how much garbage it finds; any reference cycle in
 a graph would show up there. `_backprop` must also stay a zero-argument
-callable that an outside profiler can wrap without changing gradients.
+callable that an outside profiler can wrap without changing gradients,
+and a backward pass leaves no grad on interior nodes.
 """
 
 import gc
@@ -85,3 +86,14 @@ def test_wrapped_backprop_keeps_gradients():
     assert plain.keys() == wrapped.keys()
     for name in plain:
         np.testing.assert_array_equal(plain[name], wrapped[name], err_msg=name)
+
+
+def test_backward_twice_doubles_every_leaf_gradient():
+    model = BmmnModel.build_toy("bae2", seed=3)
+    loss = bae2_loss(model, toy_sample(model, np.random.default_rng(3)))
+    loss.backward()
+    once = {name: model.store[name].grad.copy() for name in model.store.names()}
+    assert all(n.grad is None for n in T._toposort(loss) if n._backprop is not None)
+    loss.backward()
+    for name, grad in once.items():
+        np.testing.assert_array_equal(model.store[name].grad, 2.0 * grad, err_msg=name)

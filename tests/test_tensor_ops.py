@@ -5,6 +5,8 @@ import pytest
 
 from bioaffect import tensor as T
 from bioaffect.errors import ConfigError, CorruptionError, GraphError, ShapeError
+from bioaffect.optim import AdamState, adam_step
+from bioaffect.params import ParamStore
 from bioaffect.tensor import PoolIndices, Tensor
 
 from oracles import conv1d_direct, conv1d_full_direct, conv2d_direct, maxpool1d_direct
@@ -84,6 +86,71 @@ class TestConv1dFull:
         back = T.conv1d_full(Tensor(y), Tensor(w.swapaxes(0, 1))).data
         rhs = float(np.sum(x * back))
         assert abs(lhs - rhs) < 1e-10
+
+
+class TestKernelSpectrumMemo:
+    """The FFT path reuses a kernel's spectrum only while its values hold.
+
+    Shapes are well above `_FFT_WORK_THRESHOLD`, so both ops take the FFT
+    path in forward and backward.
+    """
+
+    OPS = (T.conv1d_valid, T.conv1d_full)
+
+    @staticmethod
+    def run(op, x_data, kernels):
+        """Output, input grad and kernel grad of one forward/backward, as bytes."""
+        x = Tensor(x_data, requires_grad=True)
+        kernels.zero_grad()
+        out = op(x, kernels)
+        T.mse_loss(out, np.zeros(out.shape)).backward()
+        return out.data.tobytes(), x.grad.tobytes(), kernels.grad.tobytes()
+
+    def fresh(self, op, x_data, w):
+        return self.run(op, x_data, Tensor(w.copy(), requires_grad=True))
+
+    @pytest.fixture
+    def data(self):
+        rng = np.random.default_rng(30)
+        x = rng.uniform(-1, 1, size=(16, 400))
+        w = rng.uniform(-1, 1, size=(8, 16, 100))
+        assert x.shape[0] * w.shape[2] * 301 > T._FFT_WORK_THRESHOLD
+        return x, w
+
+    @pytest.mark.parametrize("op", OPS, ids=lambda op: op.__name__)
+    def test_hit_matches_fresh_kernel(self, op, data):
+        x, w = data
+        k = Tensor(w.copy(), requires_grad=True)
+        first = self.run(op, x, k)
+        memo = k._spectra
+        assert memo is not None
+        second = self.run(op, x, k)
+        assert k._spectra is memo  # served from the memo, not rebuilt
+        assert first == second == self.fresh(op, x, w)
+
+    @pytest.mark.parametrize("op", OPS, ids=lambda op: op.__name__)
+    def test_in_place_write_invalidates(self, op, data):
+        x, w = data
+        k = Tensor(w.copy(), requires_grad=True)
+        self.run(op, x, k)
+        k.data[0, 0, 0] += 1e-5  # a finite-difference probe
+        assert self.run(op, x, k) == self.fresh(op, x, k.data)
+        k.data[...] = w[::-1]  # a checkpoint load
+        assert self.run(op, x, k) == self.fresh(op, x, w[::-1])
+
+    def test_adam_step_releases_memos(self, data):
+        x, _ = data
+        store = ParamStore(rng_seed=0)
+        k_valid = store.create("valid.w", (8, 16, 100))
+        k_full = store.create("full.w", (8, 16, 100))
+        state = AdamState(store, lr=1e-3)
+        store.zero_grads()
+        loss = T.mse_loss(T.conv1d_valid(Tensor(x), k_valid), np.zeros((8, 301)))
+        loss = loss + T.mse_loss(T.conv1d_full(Tensor(x), k_full), np.zeros((8, 499)))
+        loss.backward()
+        assert k_valid._spectra is not None and k_full._spectra is not None
+        adam_step(store, state)
+        assert all(t._spectra is None for _, t in store.items())
 
 
 class TestConv2dValid:
