@@ -18,6 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import GraphError, ShapeError
+from .optim import fit
 from .params import ParamStore
 from .signals import BioSegment, Channel
 from .tensor import Tensor
@@ -235,32 +236,18 @@ def pretrain(
     batch_size: int = 8,
 ) -> PretrainResult:
     """Train one channel's auto-encoder on reconstruction loss alone."""
-    from .optim import AdamState, adam_step
-
     if not windows:
         raise GraphError("pretrain needs at least one window")
     windows = [np.asarray(w, dtype=np.float64).reshape(-1) for w in windows]
     store = ParamStore(rng_seed=seed)
     model = BaeModel(store, channel, arch=arch)
-    state = AdamState(store, lr=lr)
     rng = np.random.default_rng([int(seed), 606])
     losses = [_dataset_mse(model, windows)]
-    for _ in range(epochs):
-        order = rng.permutation(len(windows))
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, len(order), batch_size):
-            batch = order[start : start + batch_size]
-            store.zero_grads()
-            batch_loss = 0.0
-            for j in batch:
-                z, idx = model.encode_graph(Tensor(windows[j]))
-                recon = model.decode_graph(z, idx)
-                loss = T.mse_loss(recon, windows[j].reshape(1, -1))
-                (loss * (1.0 / batch.size)).backward()
-                batch_loss += loss.item()
-            adam_step(store, state)
-            epoch_loss += batch_loss / batch.size
-            n_batches += 1
-        losses.append(epoch_loss / n_batches)
+
+    def item_loss(j):
+        z, idx = model.encode_graph(Tensor(windows[j]))
+        loss = T.mse_loss(model.decode_graph(z, idx), windows[j].reshape(1, -1))
+        return loss, (loss.item(),)
+
+    losses += [mse for (mse,) in fit(store, len(windows), epochs, batch_size, lr, rng, item_loss)]
     return PretrainResult(model=model, losses=losses)

@@ -18,7 +18,7 @@ their reconstructions join the objective:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -27,7 +27,7 @@ import numpy as np
 from . import tensor as T
 from .bae import BaeArch, BaeModel
 from .errors import ConfigError, GraphError, ShapeError
-from .optim import AdamState, adam_step
+from .optim import adam_step, fit  # noqa: F401 (perfbench/tracer.py wraps bmmn.adam_step)
 from .params import ParamStore, load_params, save_params
 from .signals import AffectLabel, Channel, label_targets
 from .tensor import Tensor
@@ -536,38 +536,19 @@ def train(
     if init_values:
         model.store.load_values(init_values)
     weights = config.weights()
-    state = AdamState(model.store, lr=config.lr)
+
+    def item_loss(j):
+        sample = train_samples[j]
+        est, recons, originals = model.forward_graph(sample)
+        loss, parts = total_loss(est, sample.label, recons, originals, weights)
+        return loss, (parts["total"], parts["affect"], parts["recon"])
+
     rng = np.random.default_rng([config.seed, 707])
-    metrics = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(train_samples))
-        sums = {"total": 0.0, "affect": 0.0, "recon": 0.0}
-        n_batches = 0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            model.store.zero_grads()
-            batch_sums = {"total": 0.0, "affect": 0.0, "recon": 0.0}
-            for j in batch:
-                sample = train_samples[j]
-                est, recons, originals = model.forward_graph(sample)
-                loss, breakdown = total_loss(
-                    est, sample.label, recons, originals, weights
-                )
-                (loss * (1.0 / batch.size)).backward()
-                for key in batch_sums:
-                    batch_sums[key] += breakdown[key]
-            adam_step(model.store, state)
-            for key in sums:
-                sums[key] += batch_sums[key] / batch.size
-            n_batches += 1
-        metrics.append(
-            (
-                epoch,
-                sums["total"] / n_batches,
-                sums["affect"] / n_batches,
-                sums["recon"] / n_batches,
-            )
-        )
+    history = fit(
+        model.store, len(train_samples), config.epochs, config.batch_size, config.lr, rng,
+        item_loss,
+    )
+    metrics = [(epoch, *means) for epoch, means in enumerate(history)]
     return TrainResult(
         model=model,
         metrics=metrics,
@@ -635,7 +616,3 @@ def load_model(model_dir) -> BmmnModel:
             f"{model_dir}: checkpoint covered {n} of {len(model.store)} parameters"
         )
     return model
-
-
-def clone_config(config: TrainConfig, **overrides) -> TrainConfig:
-    return replace(config, **overrides)

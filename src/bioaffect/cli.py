@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -234,9 +234,9 @@ def _load_train_config(args) -> tuple:
         config = bmmn.TrainConfig()
         config_hash = _sha256_text(config.to_json())
     if getattr(args, "variant", None):
-        config = bmmn.clone_config(config, variant=args.variant)
+        config = replace(config, variant=args.variant)
     if args.seed is not None:
-        config = bmmn.clone_config(config, seed=args.seed)
+        config = replace(config, seed=args.seed)
     return config, config_hash
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 import numpy as np
 
 from .errors import GraphError
@@ -56,3 +59,32 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
         v += (1.0 - state.beta2) * (g * g)
         p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
         p._spectra = None
+
+
+def fit(store: ParamStore, n_items: int, epochs: int, batch_size: int, lr: float,
+        rng: np.random.Generator, item_loss) -> list:
+    """The one minibatch Adam loop; returns each epoch's mean of batch term means.
+
+    `item_loss(j)` builds item j's graph and returns (scalar loss, tuple of
+    float terms). Each epoch visits the items in `rng.permutation` order;
+    each batch zeroes the grads, backpropagates every loss scaled by
+    1 / |batch| and takes one `adam_step`.
+    """
+    state = AdamState(store, lr=lr)
+    history = []
+    for _ in range(epochs):
+        order = rng.permutation(n_items)
+        batch_means = []
+        for start in range(0, n_items, batch_size):
+            batch = order[start : start + batch_size]
+            store.zero_grads()
+            rows = []
+            for j in batch:
+                loss, terms = item_loss(j)
+                (loss * (1.0 / batch.size)).backward()
+                rows.append(terms)
+            adam_step(store, state)
+            # Summed in order from 0.0: the builtin `sum` compensates on Python >= 3.12.
+            batch_means.append([reduce(add, col, 0.0) / batch.size for col in zip(*rows)])
+        history.append([reduce(add, col, 0.0) / len(batch_means) for col in zip(*batch_means)])
+    return history

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptionError, GraphError
+from .errors import BlobReader, CorruptionError, GraphError
 from .tensor import Tensor
 
 _MAGIC = b"BAPC"
@@ -132,33 +132,28 @@ def save_params(store: ParamStore, path) -> None:
 
 
 def load_params(path) -> ParamStore:
+    """Read a checkpoint written by `save_params`.
+
+    A file cut anywhere, a name that is not UTF-8, or bytes after the last
+    value raise a CorruptionError that names the path, the field and the
+    byte offset.
+    """
     path = Path(path)
-    blob = path.read_bytes()
-    if blob[:4] != _MAGIC:
+    reader = BlobReader(path, path.read_bytes())
+    if reader.take(4, "magic") != _MAGIC:
         raise CorruptionError(f"{path}: not a parameter checkpoint (bad magic)")
-    version, seed, count = struct.unpack_from("<IQI", blob, 4)
+    version, seed, count = reader.unpack("<IQI", "header")
     if version != _VERSION:
         raise CorruptionError(f"{path}: unsupported checkpoint version {version}")
-    offset = 4 + struct.calcsize("<IQI")
     metas = []
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        metas.append((name, shape))
+        name = reader.text("parameter name")
+        (ndim,) = reader.unpack("<B", f"ndim of {name!r}")
+        metas.append((name, reader.unpack(f"<{ndim}I", f"shape of {name!r}")))
     store = ParamStore(rng_seed=seed)
     for name, shape in metas:
         n = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * n
-        if end > len(blob):
-            raise CorruptionError(f"{path}: truncated checkpoint at {name!r}")
-        arr = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape)
-        offset = end
-        t = Tensor(arr.astype(np.float64), requires_grad=True)
-        store.entries[name] = t
+        arr = np.frombuffer(reader.take(8 * n, f"values of {name!r}"), dtype="<f8")
+        store.entries[name] = Tensor(arr.reshape(shape).astype(np.float64), requires_grad=True)
+    reader.finish("value")
     return store

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptionError, IngestError, ParseError, ValidationError
+from .errors import BlobReader, CorruptionError, IngestError, ParseError, ValidationError
 from .signals import (
     SEGMENT_LEN,
     SUPPORTED_SOURCE_HZ,
@@ -374,29 +374,14 @@ def write_samples(path, samples: list, extra_meta: dict | None = None) -> None:
 def read_samples(path) -> list:
     """Read a processed-sample file written by `write_samples`.
 
-    A file cut anywhere, or with bytes after its last sample, raises a
-    CorruptionError that names the path and the byte offset.
+    A file cut anywhere, an id that is not UTF-8, or bytes after the last
+    sample raise a CorruptionError that names the path and the byte offset.
     """
     path = Path(path)
-    blob = path.read_bytes()
-    size = len(blob)
-
-    def take(nbytes: int, field: str) -> int:
-        """Step over the next field; return the offset where it starts."""
-        nonlocal offset
-        start = offset
-        offset += nbytes
-        if offset > size:
-            raise CorruptionError(
-                f"{path}: truncated at byte offset {start}: {field} needs {nbytes} "
-                f"bytes, {size - start} remain"
-            )
-        return start
-
-    if blob[:4] != _SAMPLES_MAGIC:
+    reader = BlobReader(path, path.read_bytes())
+    if reader.take(4, "magic") != _SAMPLES_MAGIC:
         raise CorruptionError(f"{path}: not a processed-sample file (bad magic)")
-    offset = 4
-    version, count, seg_len = struct.unpack_from("<III", blob, take(12, "header"))
+    version, count, seg_len = reader.unpack("<III", "header")
     if version != _SAMPLES_VERSION:
         raise CorruptionError(f"{path}: unsupported sample file version {version}")
     if seg_len != SEGMENT_LEN:
@@ -406,19 +391,12 @@ def read_samples(path) -> list:
     windows = [(c, f"{c.value} window") for c in (Channel.ECG, Channel.EDA)]
     samples = []
     for _ in range(count):
-        (n,) = struct.unpack_from("<H", blob, take(2, "subject id length"))
-        start = take(n, "subject id")
-        subject_id = blob[start:offset].decode("utf-8")
-        (n,) = struct.unpack_from("<H", blob, take(2, "session id length"))
-        start = take(n, "session id")
-        session_id = blob[start:offset].decode("utf-8")
-        frame_index, timestamp = struct.unpack_from(
-            "<Id", blob, take(12, "frame index and timestamp")
-        )
-        # Arrays are read from a slice, not from `blob` at an offset: after
-        # an odd-length id that view is unaligned, and copying it is ~3x slower.
-        start = take(80, "label")
-        label_vec = np.frombuffer(blob[start:offset], dtype="<f8")
+        subject_id = reader.text("subject id")
+        session_id = reader.text("session id")
+        frame_index, timestamp = reader.unpack("<Id", "frame index and timestamp")
+        # Arrays are read from a slice, not from the file bytes at an offset:
+        # after an odd-length id that view is unaligned, and copying it is ~3x slower.
+        label_vec = np.frombuffer(reader.take(80, "label"), dtype="<f8")
         label = AffectLabel(
             valence=label_vec[0],
             arousal=label_vec[1],
@@ -427,20 +405,18 @@ def read_samples(path) -> list:
         )
         segments = {}
         for channel, field in windows:
-            start = take(8 * seg_len, field)
-            window = np.frombuffer(blob[start:offset], dtype="<f8")
+            window = np.frombuffer(reader.take(8 * seg_len, field), dtype="<f8")
             segments[channel] = BioSegment(channel, window.copy(), frame_index)
-        kind, payload = struct.unpack_from("<BI", blob, take(5, "face header"))
+        kind, payload = reader.unpack("<BI", "face header")
         if kind == 0:
             n_values = payload * payload
         elif kind == 1:
             n_values = payload
         else:
             raise CorruptionError(
-                f"{path}: unknown face payload kind {kind} at byte offset {offset - 5}"
+                f"{path}: unknown face payload kind {kind} at byte offset {reader.offset - 5}"
             )
-        start = take(8 * n_values, "face payload")
-        values = np.frombuffer(blob[start:offset], dtype="<f8").copy()
+        values = np.frombuffer(reader.take(8 * n_values, "face payload"), dtype="<f8").copy()
         if kind == 0:
             face = FrameRecord(timestamp_s=timestamp, image=values.reshape(payload, payload))
         else:
@@ -454,9 +430,5 @@ def read_samples(path) -> list:
                 session_id=session_id,
             )
         )
-    if offset != size:
-        raise CorruptionError(
-            f"{path}: {size - offset} trailing bytes at byte offset {offset} "
-            f"after the last sample"
-        )
+    reader.finish("sample")
     return samples

@@ -20,7 +20,11 @@ the memo, so reuse never changes a result.
 
 Convolutions use cross-correlation semantics (no kernel flip). The
 vectorized implementations here are checked against direct-loop
-references in the test suite.
+references in the test suite. Both 1-D convs run on one primitive,
+`_correlate`: each one's input gradient is the other mode (valid or
+full) over the kernels with their in/out axes swapped. The FFT-or-matmul
+path is chosen once per op call, from the forward's work, and both
+gradients reuse that choice.
 """
 
 from __future__ import annotations
@@ -234,14 +238,6 @@ def _kernel_spectrum(kernels: Tensor, view: str, n: int) -> np.ndarray:
     return spectra[key]
 
 
-def _conv_sum(a: np.ndarray, kernels: Tensor, view: str) -> np.ndarray:
-    """sum over i of convfull(a[i], b[j, i]) -> (J, La + K - 1), b a kernel view."""
-    n = a.shape[1] + kernels.data.shape[2] - 1
-    a_f = np.fft.rfft(a, n)
-    b_f = _kernel_spectrum(kernels, view, n)
-    return np.fft.irfft(np.einsum("jif,if->jf", b_f, a_f), n)
-
-
 def _conv_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """convfull(a[i], b[j]) for every pair -> (I, J, La + Lb - 1)."""
     n = a.shape[1] + b.shape[1] - 1
@@ -250,7 +246,39 @@ def _conv_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.irfft(a_f[:, None, :] * b_f[None, :, :], n)
 
 
-def _check_conv1d_args(x: Tensor, kernels: Tensor, stride: int) -> None:
+def _correlate(
+    a: np.ndarray, kernels: Tensor, full: bool, swap: bool, out_len: int, stride: int,
+    use_fft: bool,
+) -> np.ndarray:
+    """Correlate the rows of `a` with the kernels w[o, c, k], or with w[c, o, k] if `swap`.
+
+    valid: out[o, t] = sum over c, k of w[o, c, k] * a[c, t * stride + k];
+    full:  out[o, t * stride + k] += w[o, c, k] * a[c, t] for every c, k.
+    By FFT against the memoized kernel spectrum (stride 1 only), or by one
+    matmul per kernel tap over a strided slice.
+    """
+    w = kernels.data
+    k_width = w.shape[2]
+    if use_fft:
+        view = ("" if full else "flip") + ("swap" if swap else "")
+        n = a.shape[1] + k_width - 1
+        a_f = np.fft.rfft(a, n)
+        b_f = _kernel_spectrum(kernels, view or "id", n)
+        out = np.fft.irfft(np.einsum("jif,if->jf", b_f, a_f), n)
+        return out if full else out[:, k_width - 1 : k_width - 1 + out_len]
+    out = np.zeros((w.shape[1] if swap else w.shape[0], out_len))
+    span = ((a.shape[1] if full else out_len) - 1) * stride + 1
+    for k in range(k_width):
+        w_k = w[:, :, k].T if swap else w[:, :, k]
+        if full:
+            out[:, k : k + span : stride] += w_k @ a
+        else:
+            out += w_k @ a[:, k : k + span : stride]
+    return out
+
+
+def _conv1d(x: Tensor, kernels: Tensor, stride: int, full: bool) -> Tensor:
+    """One 1-D conv node; the FFT-or-matmul choice is made once, from the forward's work."""
     if x.data.ndim != 2:
         raise ShapeError(f"conv1d: input must be (channels, length), got {x.data.shape}")
     if kernels.data.ndim != 3:
@@ -264,50 +292,50 @@ def _check_conv1d_args(x: Tensor, kernels: Tensor, stride: int) -> None:
         )
     if stride < 1:
         raise ShapeError(f"conv1d: stride must be >= 1, got {stride}")
+    w = kernels.data
+    xd = x.data
+    k_width = w.shape[2]
+    length = xd.shape[1]
+    if full:
+        out_len = length + k_width - 1
+    elif length < k_width:
+        raise ShapeError(
+            f"conv1d_valid: input length (axis 1) = {length} < kernel width {k_width}"
+        )
+    else:
+        out_len = (length - k_width) // stride + 1
+    work = xd.shape[0] * k_width * (length if full else out_len)
+    use_fft = stride == 1 and work > _FFT_WORK_THRESHOLD
+    out_data = _correlate(xd, kernels, full, False, out_len, stride, use_fft)
+
+    def backprop(g):
+        if use_fft and full:
+            gw = _conv_pairs(xd[:, ::-1], g).transpose(1, 0, 2)[
+                :, :, length - 1 : length - 1 + k_width
+            ]
+        elif use_fft:
+            gw = _conv_pairs(g[:, ::-1], xd)[:, :, out_len - 1 : out_len - 1 + k_width]
+        else:
+            gw = np.empty_like(w)
+            span = (out_len - 1) * stride + 1
+            for k in range(k_width):
+                if full:
+                    gw[:, :, k] = g[:, k : k + length] @ xd.T
+                else:
+                    gw[:, :, k] = g @ xd[:, k : k + span : stride].T
+        _accumulate(kernels, gw)
+        _accumulate(x, _correlate(g, kernels, not full, True, length, stride, use_fft))
+
+    return _node(out_data, (x, kernels), backprop)
 
 
 def conv1d_valid(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
     """Valid cross-correlation: (C_in, L) x (C_out, C_in, K) -> (C_out, L').
 
     L' = floor((L - K) / stride) + 1. Differentiable with respect to both
-    the input and the kernels. Computed as one matmul per kernel tap over
-    a strided input slice, which avoids materializing the window tensor.
+    the input and the kernels.
     """
-    x, kernels = as_tensor(x), as_tensor(kernels)
-    _check_conv1d_args(x, kernels, stride)
-    w = kernels.data
-    xd = x.data
-    k_width = w.shape[2]
-    length = xd.shape[1]
-    if length < k_width:
-        raise ShapeError(
-            f"conv1d_valid: input length (axis 1) = {length} < kernel width {k_width}"
-        )
-    n_out = (length - k_width) // stride + 1
-    span = (n_out - 1) * stride + 1
-    use_fft = stride == 1 and xd.shape[0] * k_width * n_out > _FFT_WORK_THRESHOLD
-    if use_fft:
-        out_data = _conv_sum(xd, kernels, "flip")[:, k_width - 1 : k_width - 1 + n_out]
-    else:
-        out_data = np.zeros((w.shape[0], n_out))
-        for k in range(k_width):
-            out_data += w[:, :, k] @ xd[:, k : k + span : stride]
-
-    def backprop(g):
-        if use_fft:
-            gx = _conv_sum(g, kernels, "swap")
-            gw = _conv_pairs(g[:, ::-1], xd)[:, :, n_out - 1 : n_out - 1 + k_width]
-        else:
-            gw = np.empty_like(w)
-            gx = np.zeros_like(xd)
-            for k in range(k_width):
-                sl = xd[:, k : k + span : stride]
-                gw[:, :, k] = g @ sl.T
-                gx[:, k : k + span : stride] += w[:, :, k].T @ g
-        _accumulate(kernels, gw)
-        _accumulate(x, gx)
-
-    return _node(out_data, (x, kernels), backprop)
+    return _conv1d(as_tensor(x), as_tensor(kernels), stride, full=False)
 
 
 def conv1d_full(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
@@ -317,39 +345,9 @@ def conv1d_full(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
     stride 1 is supported; this is the adjoint of `conv1d_valid` at
     stride 1 with the kernel in/out axes swapped.
     """
-    x, kernels = as_tensor(x), as_tensor(kernels)
     if stride != 1:
         raise ConfigError(f"conv1d_full supports stride 1 only, got {stride}")
-    _check_conv1d_args(x, kernels, stride)
-    w = kernels.data
-    xd = x.data
-    k_width = w.shape[2]
-    length = xd.shape[1]
-    use_fft = xd.shape[0] * k_width * length > _FFT_WORK_THRESHOLD
-    if use_fft:
-        out_data = _conv_sum(xd, kernels, "id")
-    else:
-        out_data = np.zeros((w.shape[0], length + k_width - 1))
-        for k in range(k_width):
-            out_data[:, k : k + length] += w[:, :, k] @ xd
-
-    def backprop(g):
-        if use_fft:
-            gx = _conv_sum(g, kernels, "flipswap")[:, k_width - 1 : k_width - 1 + length]
-            gw = _conv_pairs(xd[:, ::-1], g).transpose(1, 0, 2)[
-                :, :, length - 1 : length - 1 + k_width
-            ]
-        else:
-            gw = np.empty_like(w)
-            gx = np.zeros_like(xd)
-            for k in range(k_width):
-                g_k = g[:, k : k + length]
-                gw[:, :, k] = g_k @ xd.T
-                gx += w[:, :, k].T @ g_k
-        _accumulate(kernels, gw)
-        _accumulate(x, gx)
-
-    return _node(out_data, (x, kernels), backprop)
+    return _conv1d(as_tensor(x), as_tensor(kernels), stride, full=True)
 
 
 def conv2d_valid(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bioaffect import tensor as T
-from bioaffect.errors import GraphError
+from bioaffect.errors import CorruptionError, GraphError
 from bioaffect.gradcheck import finite_difference_check, run_suite
 from bioaffect.optim import AdamState, adam_step
 from bioaffect.params import ParamStore, load_params, save_params, uniform_init
@@ -227,3 +227,53 @@ class TestCheckpoint:
             return p.read_bytes()
 
         assert write(tmp_path / "a.ckpt") == write(tmp_path / "b.ckpt")
+
+    def test_cut_or_padded_checkpoint_names_field_and_offset(self, tmp_path):
+        store = ParamStore(rng_seed=5)
+        store.create("enc.w", (2, 3))
+        store.create("b", (4,), init="zeros")
+        path = tmp_path / "params.ckpt"
+        save_params(store, path)
+        blob = path.read_bytes()
+        second = 20 + (2 + 5 + 1 + 8)  # header, then the whole first entry
+        values = second + (2 + 1 + 1 + 4)
+        cuts = {
+            2: (0, "magic"),
+            10: (4, "header"),
+            21: (20, "parameter name length"),
+            24: (22, "parameter name"),
+            second + 2: (second + 2, "parameter name"),
+            values - 2: (values - 4, "shape of 'b'"),
+            values + 8: (values, "values of 'enc.w'"),
+            len(blob) - 1: (len(blob) - 32, "values of 'b'"),
+        }
+        for cut, (start, field) in cuts.items():
+            path.write_bytes(blob[:cut])
+            with pytest.raises(
+                CorruptionError,
+                match=rf"params\.ckpt: truncated at byte offset {start}: {field} needs",
+            ):
+                load_params(path)
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CorruptionError, match=r"params\.ckpt: truncated at byte offset"):
+                load_params(path)
+        path.write_bytes(blob + b"\x00\x00")
+        with pytest.raises(
+            CorruptionError,
+            match=rf"2 trailing bytes at byte offset {len(blob)} after the last value",
+        ):
+            load_params(path)
+
+    def test_name_bytes_that_are_not_utf8(self, tmp_path):
+        store = ParamStore(rng_seed=5)
+        store.create("enc.w", (2, 3))
+        path = tmp_path / "params.ckpt"
+        save_params(store, path)
+        blob = bytearray(path.read_bytes())
+        blob[23] = 0xFF  # second byte of the name
+        path.write_bytes(bytes(blob))
+        with pytest.raises(
+            CorruptionError, match=r"parameter name is not UTF-8 at byte offset 23"
+        ):
+            load_params(path)

@@ -266,3 +266,14 @@ class TestProcessedContainer:
             CorruptionError, match=rf"2 trailing bytes at byte offset {size} after the last"
         ):
             read_samples(path)
+
+    def test_id_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "samples.bin"
+        write_samples(path, [_sample(0)])
+        blob = bytearray(path.read_bytes())
+        blob[18] = 0xFF  # first byte of the subject id
+        path.write_bytes(bytes(blob))
+        with pytest.raises(
+            CorruptionError, match=r"samples\.bin: subject id is not UTF-8 at byte offset 18"
+        ):
+            read_samples(path)
