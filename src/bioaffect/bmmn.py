@@ -607,10 +607,9 @@ def load_model(model_dir) -> BmmnModel:
         spatial_arch=SpatialArch(**{**meta["spatial_arch"], "channels": tuple(meta["spatial_arch"]["channels"])}),
         bae_arch=BaeArch(**{**meta["bae_arch"], "kernels": tuple(meta["bae_arch"]["kernels"]), "enc_filters": tuple(meta["bae_arch"]["enc_filters"])}),
     )
-    model = BmmnModel(spec, seed=meta["seed"])
-    loaded = load_params(model_dir / "params.ckpt")
-    values = {name: t.data for name, t in loaded.items()}
-    n = model.store.load_values(values)
+    values = {name: t.data for name, t in load_params(model_dir / "params.ckpt").items()}
+    model = BmmnModel(spec, seed=meta["seed"], store=ParamStore(meta["seed"], values=values))
+    n = sum(name in values for name in model.store.names())
     if n != len(model.store):
         raise ConfigError(
             f"{model_dir}: checkpoint covered {n} of {len(model.store)} parameters"

@@ -24,6 +24,7 @@ from .bae import PretrainConfig, pretrain
 from .errors import (
     BioaffectError,
     ConfigError,
+    CorruptionError,
     IngestError,
     ParseError,
     ShapeError,
@@ -34,7 +35,7 @@ from .signals import MODEL_HZ, Channel, rescale, resample, synchronize
 from .session_io import list_sessions, load_session, read_samples, write_samples
 
 _USAGE_ERRORS = (ValidationError, ConfigError, ParseError, IngestError, ShapeError,
-                 FileNotFoundError, NotADirectoryError)
+                 CorruptionError, FileNotFoundError, NotADirectoryError)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -35,6 +35,10 @@ class ValidationError(BioaffectError, ValueError):
     """A value is outside its documented range."""
 
 
+class NonFiniteError(BioaffectError, FloatingPointError):
+    """Training produced a NaN or infinite loss or gradient."""
+
+
 class BlobReader:
     """Reads the consecutive fields of a binary file, one length check each.
 

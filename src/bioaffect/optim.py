@@ -7,7 +7,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import GraphError
+from .errors import GraphError, NonFiniteError
 from .params import ParamStore
 
 
@@ -68,21 +68,29 @@ def fit(store: ParamStore, n_items: int, epochs: int, batch_size: int, lr: float
     `item_loss(j)` builds item j's graph and returns (scalar loss, tuple of
     float terms). Each epoch visits the items in `rng.permutation` order;
     each batch zeroes the grads, backpropagates every loss scaled by
-    1 / |batch| and takes one `adam_step`.
+    1 / |batch| and takes one `adam_step`. A non-finite item loss, or a
+    non-finite gradient before the step, raises NonFiniteError naming the
+    epoch, the batch and the item or the first such parameter.
     """
     state = AdamState(store, lr=lr)
     history = []
-    for _ in range(epochs):
+    for epoch in range(epochs):
         order = rng.permutation(n_items)
         batch_means = []
         for start in range(0, n_items, batch_size):
             batch = order[start : start + batch_size]
+            where = f"epoch {epoch}, batch {start // batch_size}"
             store.zero_grads()
             rows = []
             for j in batch:
                 loss, terms = item_loss(j)
+                if not np.isfinite(loss.data).all():
+                    raise NonFiniteError(f"{where}, item {j}: loss is {loss.item()!r}")
                 (loss * (1.0 / batch.size)).backward()
                 rows.append(terms)
+            for name, p in store.items():
+                if not np.isfinite(p.grad).all():
+                    raise NonFiniteError(f"{where}: gradient of {name!r} is not finite")
             adam_step(store, state)
             # Summed in order from 0.0: the builtin `sum` compensates on Python >= 3.12.
             batch_means.append([reduce(add, col, 0.0) / batch.size for col in zip(*rows)])

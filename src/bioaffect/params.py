@@ -53,18 +53,31 @@ def uniform_init(shape, rng_seed: int, name: str = "") -> Tensor:
 
 
 class ParamStore:
-    """Uniquely named Tensors with grad slots, owned by one training run."""
+    """Uniquely named Tensors with grad slots, owned by one training run.
 
-    def __init__(self, rng_seed: int = 0):
+    A store built over `values` (name -> array, e.g. a loaded checkpoint)
+    creates each parameter found there from its array, without a copy and
+    without a grad buffer; `zero_grads` allocates one before training.
+    """
+
+    def __init__(self, rng_seed: int = 0, values: dict | None = None):
         self.rng_seed = int(rng_seed)
         self.entries: dict[str, Tensor] = {}
+        self._values = values or {}
 
     def create(self, name: str, shape, init: str = "uniform") -> Tensor:
         """Register a new parameter; `init` is "uniform" or "zeros"."""
         if name in self.entries:
             raise GraphError(f"duplicate parameter name {name!r}")
         shape = tuple(int(s) for s in shape)
-        if init == "uniform":
+        if name in self._values:
+            arr = self._values[name]
+            if arr.shape != shape:
+                raise CorruptionError(
+                    f"checkpoint value for {name!r} has shape {arr.shape}, expected {shape}"
+                )
+            t = Tensor(arr)
+        elif init == "uniform":
             t = uniform_init(shape, self.rng_seed, name=name)
         elif init == "zeros":
             t = Tensor(np.zeros(shape), requires_grad=True)
@@ -132,7 +145,7 @@ def save_params(store: ParamStore, path) -> None:
 
 
 def load_params(path) -> ParamStore:
-    """Read a checkpoint written by `save_params`.
+    """Read a checkpoint written by `save_params`, into tensors without grad buffers.
 
     A file cut anywhere, a name that is not UTF-8, or bytes after the last
     value raise a CorruptionError that names the path, the field and the
@@ -154,6 +167,6 @@ def load_params(path) -> ParamStore:
     for name, shape in metas:
         n = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(reader.take(8 * n, f"values of {name!r}"), dtype="<f8")
-        store.entries[name] = Tensor(arr.reshape(shape).astype(np.float64), requires_grad=True)
+        store.entries[name] = Tensor(arr.reshape(shape).astype(np.float64))
     reader.finish("value")
     return store

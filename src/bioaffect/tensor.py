@@ -25,6 +25,16 @@ references in the test suite. Both 1-D convs run on one primitive,
 full) over the kernels with their in/out axes swapped. The FFT-or-matmul
 path is chosen once per op call, from the forward's work, and both
 gradients reuse that choice.
+
+The non-FFT kernels give the bits of their plain formulations. Both pools
+keep a running maximum over the window's strided tap views, taken in
+row-major order, with `argmax`'s rule: the first maximum wins, and a NaN
+beats any number, the first NaN winning. Their gradients and `unpool1d`
+scatter by `np.bincount`, which adds onto zeros in index order, as
+`np.add.at` does. With one input channel, `conv2d_valid` forms each tap's
+product by broadcasting: each entry of a (C_out, 1) @ (1, P) product is
+one rounded multiply anyway. With more channels it keeps one matmul per
+tap, whose summation order a rewrite would change.
 """
 
 from __future__ import annotations
@@ -33,7 +43,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, CorruptionError, GraphError, ShapeError
 
@@ -379,11 +388,14 @@ def conv2d_valid(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
     span_h = (nh - 1) * stride + 1
     span_w = (nw - 1) * stride + 1
     c_out, c_in = w.shape[0], w.shape[1]
+    # With one input channel each tap's (C_out, 1) @ (1, P) product is one
+    # rounded multiply per entry, which broadcasting gives with the same bits.
+    tap_product = np.multiply if c_in == 1 else np.matmul
     out_flat = np.zeros((c_out, nh * nw))
     for a in range(kh):
         for b in range(kw):
             sl = xd[:, a : a + span_h : stride, b : b + span_w : stride]
-            out_flat += w[:, :, a, b] @ sl.reshape(c_in, -1)
+            out_flat += tap_product(w[:, :, a, b], sl.reshape(c_in, -1))
 
     def backprop(g):
         g2 = g.reshape(c_out, -1)
@@ -405,6 +417,30 @@ def conv2d_valid(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
 # --- pooling ---------------------------------------------------------------
 
 
+def _window_max(taps: dict) -> tuple:
+    """Running maximum over equally shaped tap views, keyed by their offsets.
+
+    Returns the maxima and, for each, the offset of the tap that won. The
+    rule is `argmax`'s: a tap replaces the running maximum only when it is
+    strictly greater, so ties go to the first tap, and a NaN beats any
+    number, the first NaN winning.
+    """
+    (first, best), *rest = taps.items()
+    best = best.copy()
+    arg = np.full(best.shape, first, dtype=np.int64)
+    for offset, v in rest:
+        take = ~(v <= best)  # greater, or either one is NaN
+        take &= best == best  # a NaN already held is kept
+        best = np.where(take, v, best)
+        arg = np.where(take, offset, arg)
+    return best, arg
+
+
+def _scatter_add(flat: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray:
+    """Zeros of `shape` plus each value at its flat position, added in index order."""
+    return np.bincount(flat.ravel(), values.ravel(), int(np.prod(shape))).reshape(shape)
+
+
 def maxpool1d(x: Tensor, window: int, stride: int) -> tuple:
     """Windowed maximum along the length axis; ties go to the lowest index.
 
@@ -414,51 +450,48 @@ def maxpool1d(x: Tensor, window: int, stride: int) -> tuple:
     x = as_tensor(x)
     if x.data.ndim != 2:
         raise ShapeError(f"maxpool1d: input must be (channels, length), got {x.data.shape}")
-    length = x.data.shape[1]
+    c, length = x.data.shape
     if length < window:
         raise ShapeError(
             f"maxpool1d: input length (axis 1) = {length} < window {window}"
         )
-    windows = sliding_window_view(x.data, window, axis=1)[:, ::stride, :]
-    arg = windows.argmax(axis=2)
-    src = arg + stride * np.arange(windows.shape[1], dtype=np.int64)[None, :]
-    out_data = np.take_along_axis(windows, arg[:, :, None], axis=2)[:, :, 0]
+    span = (length - window) // stride * stride + 1
+    out_data, arg = _window_max({k: x.data[:, k : k + span : stride] for k in range(window)})
+    src = arg + np.arange(0, span, stride)
     indices = PoolIndices(indices=src, src_len=length)
-    rows = np.arange(x.data.shape[0])[:, None]
 
     def backprop(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (rows, src), g)
-        _accumulate(x, gx)
+        flat = src + length * np.arange(c)[:, None]
+        _accumulate(x, _scatter_add(flat, g, x.data.shape))
 
-    return _node(np.ascontiguousarray(out_data), (x,), backprop), indices
+    return _node(out_data, (x,), backprop), indices
 
 
 def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
-    """2D windowed maximum over (H, W); no unpooling counterpart."""
+    """2D windowed maximum over (H, W); no unpooling counterpart.
+
+    Ties go to the first position of the window in row-major order.
+    """
     x = as_tensor(x)
     if x.data.ndim != 3:
         raise ShapeError(f"maxpool2d: input must be (channels, H, W), got {x.data.shape}")
-    h, w = x.data.shape[1], x.data.shape[2]
+    c, h, w = x.data.shape
     if h < window or w < window:
         raise ShapeError(f"maxpool2d: input {h}x{w} smaller than window {window}")
-    windows = sliding_window_view(x.data, (window, window), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]
-    c, nh, nw = windows.shape[:3]
-    flat = windows.reshape(c, nh, nw, window * window)
-    arg = flat.argmax(axis=3)
-    out_data = np.take_along_axis(flat, arg[:, :, :, None], axis=3)[:, :, :, 0]
-    dy, dx = np.divmod(arg, window)
-    ys = dy + stride * np.arange(nh, dtype=np.int64)[None, :, None]
-    xs = dx + stride * np.arange(nw, dtype=np.int64)[None, None, :]
-    rows = np.arange(c)[:, None, None]
+    span_h = (h - window) // stride * stride + 1
+    span_w = (w - window) // stride * stride + 1
+    out_data, arg = _window_max({
+        a * w + b: x.data[:, a : a + span_h : stride, b : b + span_w : stride]
+        for a in range(window)
+        for b in range(window)
+    })
 
     def backprop(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (rows, ys, xs), g)
-        _accumulate(x, gx)
+        corner = np.arange(c)[:, None, None] * h + np.arange(0, span_h, stride)[:, None]
+        flat = arg + (corner * w + np.arange(0, span_w, stride))
+        _accumulate(x, _scatter_add(flat, g, x.data.shape))
 
-    return _node(np.ascontiguousarray(out_data), (x,), backprop)
+    return _node(out_data, (x,), backprop)
 
 
 def unpool1d(x: Tensor, indices: PoolIndices, target_len: int) -> Tensor:
@@ -483,8 +516,7 @@ def unpool1d(x: Tensor, indices: PoolIndices, target_len: int) -> Tensor:
         )
     src = indices.indices
     rows = np.arange(x.data.shape[0])[:, None]
-    out_data = np.zeros((x.data.shape[0], target_len))
-    np.add.at(out_data, (rows, src), x.data)
+    out_data = _scatter_add(src + target_len * rows, x.data, (x.data.shape[0], target_len))
 
     def backprop(g):
         _accumulate(x, g[rows, src])

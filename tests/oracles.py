@@ -72,6 +72,30 @@ def maxpool1d_direct(x, window, stride):
     return out, idx
 
 
+def maxpool2d_direct(x, window, stride):
+    """Windowed maxima and, per output, the (row, column) of the first maximum."""
+    c, h, w = x.shape
+    h_out = (h - window) // stride + 1
+    w_out = (w - window) // stride + 1
+    out = np.zeros((c, h_out, w_out))
+    rows = np.zeros((c, h_out, w_out), dtype=np.int64)
+    cols = np.zeros((c, h_out, w_out), dtype=np.int64)
+    for ch in range(c):
+        for i in range(h_out):
+            for j in range(w_out):
+                best = -np.inf
+                best_at = (i * stride, j * stride)
+                for a in range(window):
+                    for b in range(window):
+                        v = x[ch, i * stride + a, j * stride + b]
+                        if v > best:
+                            best = v
+                            best_at = (i * stride + a, j * stride + b)
+                out[ch, i, j] = best
+                rows[ch, i, j], cols[ch, i, j] = best_at
+    return out, rows, cols
+
+
 def confusion_precision_direct(pred_flags, true_flags):
     """Percent precision of the positive class, or None when undefined."""
     tp = sum(1 for p, t in zip(pred_flags, true_flags) if p and t)

@@ -94,6 +94,22 @@ class TestBackward:
         assert err <= 1e-4
 
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_one_channel_conv2d_finite_difference(self, stride):
+        # gradcheck's own conv2d case has two input channels; this covers the
+        # one-channel forward, which multiplies instead of calling matmul.
+        rng = np.random.default_rng(31 + stride)
+        x = Tensor(rng.uniform(-1, 1, size=(1, 9, 8)), requires_grad=True)
+        k = Tensor(rng.uniform(-1, 1, size=(3, 1, 3, 2)), requires_grad=True)
+        out_shape = (3, (9 - 3) // stride + 1, (8 - 2) // stride + 1)
+        target = rng.uniform(-1, 1, size=out_shape)
+
+        def make():
+            return T.mse_loss(T.conv2d_valid(x, k, stride=stride), target)
+
+        assert finite_difference_check(make, {"x": x, "k": k}, rng) <= 1e-4
+
+
 class TestAdam:
     def test_zero_grads_leave_params_unchanged(self):
         store = ParamStore(rng_seed=1)

@@ -21,7 +21,8 @@ from bioaffect.bmmn import (
     total_loss,
     toy_sample,
 )
-from bioaffect.errors import ConfigError, GraphError, ShapeError
+from bioaffect.errors import ConfigError, CorruptionError, GraphError, ShapeError
+from bioaffect.params import ParamStore, save_params
 from bioaffect.signals import AffectLabel, Channel, FrameRecord
 from bioaffect.tensor import Tensor
 
@@ -383,6 +384,50 @@ class TestPersistence:
         loaded = load_model(tmp_path / "m")
         after = loaded.predict(sample).values
         np.testing.assert_array_equal(before, after)
+
+    def test_load_builds_each_parameter_once(self, tmp_path):
+        import tracemalloc
+
+        model = BmmnModel(ModelSpec(variant=FusionVariant.BMMN_BAE_2), seed=4)
+        sample = toy_sample(model, np.random.default_rng(4))
+        save_model(model, tmp_path / "m")
+        value_bytes = 8 * model.store.n_values()
+        tracemalloc.start()
+        try:
+            loaded = load_model(tmp_path / "m")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The file bytes plus one copy of the values; no init, no grad buffers.
+        assert peak <= 3.5 * value_bytes, peak / value_bytes
+        assert all(t.grad is None for _, t in loaded.store.items())
+        before = model.predict(sample).values
+        after = loaded.predict(sample).values
+        assert np.array_equal(before.view(np.uint64), after.view(np.uint64))
+
+    def _resave(self, model, path, shapes):
+        store = ParamStore(rng_seed=model.store.rng_seed)
+        for name, shape in shapes.items():
+            store.create(name, shape)
+        save_params(store, path / "params.ckpt")
+
+    def test_load_rejects_checkpoint_missing_a_parameter(self, tmp_path):
+        model = toy_model("bae2", seed=5)
+        save_model(model, tmp_path / "m")
+        shapes = {name: t.data.shape for name, t in model.store.items()}
+        shapes.pop("head.fc.b")
+        self._resave(model, tmp_path / "m", shapes)
+        with pytest.raises(ConfigError, match=f"covered {len(shapes)} of {len(shapes) + 1}"):
+            load_model(tmp_path / "m")
+
+    def test_load_rejects_checkpoint_shape_mismatch(self, tmp_path):
+        model = toy_model("bae2", seed=6)
+        save_model(model, tmp_path / "m")
+        shapes = {name: t.data.shape for name, t in model.store.items()}
+        shapes["head.fc.b"] = (shapes["head.fc.b"][0] + 1,)
+        self._resave(model, tmp_path / "m", shapes)
+        with pytest.raises(CorruptionError, match="head.fc.b"):
+            load_model(tmp_path / "m")
 
     def test_summary_reports_widths(self, tmp_path):
         import json

@@ -132,6 +132,22 @@ class TestTrainEval:
         }
         assert Path(str(report) + ".csv").exists()
 
+    def test_truncated_samples_file_exits_1(self, processed, tmp_path, capsys):
+        from bioaffect.bmmn import BmmnModel, FusionVariant, ModelSpec, save_model
+
+        _, samples = processed
+        model_dir = tmp_path / "model"
+        save_model(BmmnModel(ModelSpec(variant=FusionVariant.BMMN), seed=0), model_dir)
+        blob = samples.read_bytes()
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(blob[: len(blob) // 2])
+        code = dispatch(
+            ["eval", "--model", str(model_dir), "--data", str(cut),
+             "--out", str(tmp_path / "report")]
+        )
+        assert code == 1
+        assert "truncated" in capsys.readouterr().err
+
     def test_variant_without_bae_exits_1(self, processed, tmp_path):
         _, samples = processed
         cfg = tmp_path / "cfg.json"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from bioaffect import tensor as T
 from bioaffect.errors import ConfigError, CorruptionError, GraphError, ShapeError
@@ -9,7 +10,13 @@ from bioaffect.optim import AdamState, adam_step
 from bioaffect.params import ParamStore
 from bioaffect.tensor import PoolIndices, Tensor
 
-from oracles import conv1d_direct, conv1d_full_direct, conv2d_direct, maxpool1d_direct
+from oracles import (
+    conv1d_direct,
+    conv1d_full_direct,
+    conv2d_direct,
+    maxpool1d_direct,
+    maxpool2d_direct,
+)
 
 
 class TestConv1dValid:
@@ -336,3 +343,196 @@ class TestPointwise:
         h, _ = T.maxpool1d(h, 2, 2)
         out = T.flatten(h)
         assert np.isfinite(out.data).all()
+
+
+class TestMaxPool2d:
+    @pytest.mark.parametrize("shape, window, stride", [
+        ((2, 8, 8), 2, 2), ((3, 9, 7), 2, 2), ((2, 9, 8), 3, 2), ((1, 6, 7), 3, 1),
+    ])
+    def test_matches_direct_loop(self, shape, window, stride):
+        rng = np.random.default_rng(17)
+        x = rng.integers(-2, 3, size=shape).astype(np.float64)  # many ties
+        xt = Tensor(x)
+        out = T.maxpool2d(xt, window, stride)
+        ref_out, rows, cols = maxpool2d_direct(x, window, stride)
+        np.testing.assert_array_equal(out.data, ref_out)
+        g = rng.normal(size=out.shape)
+        out.grad = g
+        out._backprop()
+        routed = np.zeros(shape)
+        for (ch, i, j), gv in np.ndenumerate(g):
+            routed[ch, rows[ch, i, j], cols[ch, i, j]] += gv
+        np.testing.assert_array_equal(xt.grad, routed)
+
+
+# --- pools, unpool scatter and conv2d, pinned bit for bit ----------------------
+#
+# The references are the formulations the kernels replaced: each pool as
+# sliding_window_view + argmax + take_along_axis, each scatter as np.add.at,
+# and conv2d as one GEMM per kernel tap. Outputs, pool indices and gradients
+# must agree in every bit, NaN payloads included.
+
+
+def _maxpool1d_reference(x, window, stride):
+    windows = sliding_window_view(x, window, axis=1)[:, ::stride, :]
+    arg = windows.argmax(axis=2)
+    src = arg + stride * np.arange(windows.shape[1], dtype=np.int64)[None, :]
+    out = np.take_along_axis(windows, arg[:, :, None], axis=2)[:, :, 0]
+    return out, src
+
+
+def _maxpool2d_reference(x, window, stride):
+    windows = sliding_window_view(x, (window, window), axis=(1, 2))[:, ::stride, ::stride]
+    c, nh, nw = windows.shape[:3]
+    flat = windows.reshape(c, nh, nw, window * window)
+    arg = flat.argmax(axis=3)
+    out = np.take_along_axis(flat, arg[:, :, :, None], axis=3)[:, :, :, 0]
+    dy, dx = np.divmod(arg, window)
+    ys = dy + stride * np.arange(nh, dtype=np.int64)[None, :, None]
+    xs = dx + stride * np.arange(nw, dtype=np.int64)[None, None, :]
+    return out, (np.arange(c)[:, None, None], ys, xs)
+
+
+def _add_at_reference(shape, index, values):
+    out = np.zeros(shape)
+    np.add.at(out, index, values)
+    return out
+
+
+def _conv2d_reference(x, w, stride, g):
+    """Forward by one GEMM per tap, and both gradients of upstream `g`."""
+    c_out, c_in, kh, kw = w.shape
+    nh = (x.shape[1] - kh) // stride + 1
+    nw = (x.shape[2] - kw) // stride + 1
+    span_h, span_w = (nh - 1) * stride + 1, (nw - 1) * stride + 1
+    out = np.zeros((c_out, nh * nw))
+    g2 = g.reshape(c_out, -1)
+    gw = np.empty_like(w)
+    gx = np.zeros_like(x)
+    for a in range(kh):
+        for b in range(kw):
+            sl = x[:, a : a + span_h : stride, b : b + span_w : stride]
+            out += w[:, :, a, b] @ sl.reshape(c_in, -1)
+            gw[:, :, a, b] = g2 @ sl.reshape(c_in, -1).T
+            gx[:, a : a + span_h : stride, b : b + span_w : stride] += (
+                w[:, :, a, b].T @ g2
+            ).reshape(c_in, nh, nw)
+    return out.reshape(c_out, nh, nw), gw, gx
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                          np.ascontiguousarray(want).view(np.uint64))
+
+
+# Quiet NaNs with distinct payloads, so a test sees which NaN won.
+_NAN_A = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+_NAN_B = np.array([0x7FF8000000000002], dtype=np.uint64).view(np.float64)[0]
+
+# Where each input kind plants its NaNs: one NaN off a window's first tap,
+# and one window holding two.
+_NAN_AT = {
+    2: ((0, 3), (-1, 4), (-1, 5)),
+    3: ((0, 0, 1), (-1, 2, 3), (-1, 3, 2)),
+}
+
+
+def _pool_input(kind, shape, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "equal":
+        return np.full(shape, 0.25)
+    if kind == "coarse":  # ties inside most windows
+        return rng.integers(-1, 2, size=shape).astype(np.float64)
+    x = rng.normal(size=shape)
+    if kind == "nans":
+        one, first, second = _NAN_AT[len(shape)]
+        x[one] = np.nan
+        x[first], x[second] = _NAN_A, _NAN_B
+    return x
+
+
+_KINDS = ["normal", "equal", "coarse", "nans"]
+
+# Production shapes at window 2, stride 2: bio (4, 801), (2, 301), (2, 101),
+# (2, 26); BAE encoder (16, 801), (8, 301), (4, 101). Then overlapping and
+# odd-stride windows.
+_POOL1D_CASES = [
+    ((4, 801), 2, 2), ((2, 301), 2, 2), ((2, 101), 2, 2), ((2, 26), 2, 2),
+    ((16, 801), 2, 2), ((8, 301), 2, 2), ((4, 101), 2, 2),
+    ((4, 801), 3, 2), ((2, 26), 3, 2), ((4, 101), 3, 1), ((3, 17), 3, 1),
+]
+
+# Face CNN shapes at window 2, stride 2, then overlapping windows.
+_POOL2D_CASES = [
+    ((8, 62, 62), 2, 2), ((16, 29, 29), 2, 2), ((32, 12, 12), 2, 2),
+    ((8, 29, 29), 3, 2), ((2, 9, 7), 3, 1),
+]
+
+
+class TestKernelsMatchReplacedFormulation:
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("shape, window, stride", _POOL1D_CASES)
+    def test_maxpool1d(self, shape, window, stride, kind):
+        x = _pool_input(kind, shape, seed=shape[1] + window)
+        ref_out, ref_src = _maxpool1d_reference(x, window, stride)
+        xt = Tensor(x)
+        out, idx = T.maxpool1d(xt, window, stride)
+        _assert_same_bits(out.data, ref_out)
+        _assert_same_bits(idx.indices, ref_src)
+        g = np.random.default_rng(1).normal(size=out.shape)
+        out.grad = g
+        out._backprop()
+        rows = np.arange(shape[0])[:, None]
+        _assert_same_bits(xt.grad, _add_at_reference(shape, (rows, ref_src), g))
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    @pytest.mark.parametrize("shape, window, stride", _POOL2D_CASES)
+    def test_maxpool2d(self, shape, window, stride, kind):
+        x = _pool_input(kind, shape, seed=shape[1] + window)
+        ref_out, ref_index = _maxpool2d_reference(x, window, stride)
+        xt = Tensor(x)
+        out = T.maxpool2d(xt, window, stride)
+        _assert_same_bits(out.data, ref_out)
+        g = np.random.default_rng(2).normal(size=out.shape)
+        out.grad = g
+        out._backprop()
+        _assert_same_bits(xt.grad, _add_at_reference(shape, ref_index, g))
+
+    @pytest.mark.parametrize("kind", ["normal", "equal", "coarse"])
+    @pytest.mark.parametrize("shape, window, stride", [
+        ((16, 801), 2, 2), ((8, 301), 2, 2), ((4, 101), 2, 2),
+        ((4, 101), 3, 1), ((2, 26), 3, 2),
+    ])
+    def test_unpool1d(self, shape, window, stride, kind):
+        x = _pool_input(kind, shape, seed=shape[1])
+        pooled, idx = T.maxpool1d(Tensor(x), window, stride)
+        v = np.random.default_rng(3).normal(size=pooled.shape)
+        rows = np.arange(shape[0])[:, None]
+        vt = Tensor(v)
+        out = T.unpool1d(vt, idx, target_len=shape[1])
+        _assert_same_bits(out.data, _add_at_reference(shape, (rows, idx.indices), v))
+        g = np.random.default_rng(4).normal(size=shape)
+        out.grad = g
+        out._backprop()
+        _assert_same_bits(vt.grad, np.zeros(v.shape) + g[rows, idx.indices])
+
+    @pytest.mark.parametrize("x_shape, w_shape, stride", [
+        ((1, 64, 64), (8, 1, 3, 3), 1),
+        ((1, 64, 64), (8, 1, 3, 3), 2),
+        ((1, 11, 9), (3, 1, 2, 3), 2),
+        ((3, 12, 12), (4, 3, 3, 3), 1),
+    ])
+    def test_conv2d_valid(self, x_shape, w_shape, stride):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=x_shape)
+        w = rng.normal(size=w_shape)
+        xt, wt = Tensor(x), Tensor(w)
+        out = T.conv2d_valid(xt, wt, stride=stride)
+        g = rng.normal(size=out.shape)
+        ref_out, ref_gw, ref_gx = _conv2d_reference(x, w, stride, g)
+        _assert_same_bits(out.data, ref_out)
+        out.grad = g
+        out._backprop()
+        _assert_same_bits(wt.grad, np.zeros(w.shape) + ref_gw)
+        _assert_same_bits(xt.grad, np.zeros(x.shape) + ref_gx)
