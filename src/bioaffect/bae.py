@@ -87,12 +87,11 @@ class LatentVector:
 class BaeModel:
     """Encoder/decoder parameter bundle for one bio channel."""
 
-    def __init__(self, store: ParamStore, channel: Channel, arch: BaeArch = BaeArch(),
-                 prefix: str | None = None):
+    def __init__(self, store: ParamStore, channel: Channel, arch: BaeArch = BaeArch()):
         self.store = store
         self.channel = channel
         self.arch = arch
-        self.prefix = prefix if prefix is not None else f"bae.{channel.value}."
+        self.prefix = f"bae.{channel.value}."
         self._build()
 
     def _build(self):

@@ -27,6 +27,7 @@ import numpy as np
 from . import tensor as T
 from .bae import BaeArch, BaeModel
 from .errors import ConfigError, GraphError, ShapeError
+from .files import write_json
 from .optim import adam_step, fit  # noqa: F401 (perfbench/tracer.py wraps bmmn.adam_step)
 from .params import ParamStore, load_params, save_params
 from .signals import AffectLabel, Channel, label_targets
@@ -557,11 +558,12 @@ def train(
     )
 
 
-def metrics_csv(metrics: list) -> str:
+def metrics_csv(metrics: list) -> list:
+    """Lines of the per-epoch loss CSV, header first."""
     lines = ["epoch,loss_total,loss_affect,loss_recon"]
     for epoch, total, affect, recon in metrics:
         lines.append(f"{epoch},{total!r},{affect!r},{recon!r}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 # --- persistence -------------------------------------------------------------
@@ -591,7 +593,7 @@ def save_model(model: BmmnModel, out_dir, config: TrainConfig | None = None) -> 
     }
     if config is not None:
         meta["train_config"] = json.loads(config.to_json())
-    (out_dir / "model.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "model.json", meta)
     save_params(model.store, out_dir / "params.ckpt")
 
 

@@ -5,6 +5,9 @@ Every command writes exactly one manifest next to its outputs recording
 the command, a hash of its configuration, the seed, input/output paths,
 the toolkit version and the wall time. Outputs are reproducible from the
 manifest byte for byte (wall time aside); no command mutates its inputs.
+Each output file is replaced whole, never left half-written, and the
+manifest is written last, once every output is in place: an output with
+no manifest comes from a run that did not finish.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
+from .files import write_json, write_lines
 from .params import ParamStore, load_params, save_params
 from .signals import MODEL_HZ, Channel, rescale, resample, synchronize
 from .session_io import list_sessions, load_session, read_samples, write_samples
@@ -54,15 +58,12 @@ def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _write_manifest(anchor: Path, payload: dict) -> None:
+def _write_manifest(command, started, anchor, seed, inputs, outputs, config_hash) -> None:
+    anchor = Path(anchor)
     target = anchor / "manifest.json" if anchor.is_dir() else Path(
         str(anchor) + ".manifest.json"
     )
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _manifest(command, seed, inputs, outputs, config_hash, started) -> dict:
-    return {
+    write_json(target, {
         "command": command,
         "config_sha256": config_hash,
         "seed": seed,
@@ -70,7 +71,7 @@ def _manifest(command, seed, inputs, outputs, config_hash, started) -> dict:
         "outputs": [str(p) for p in outputs],
         "toolkit_version": __version__,
         "wall_time_s": round(time.monotonic() - started, 3),
-    }
+    })
 
 
 def _paint(text: str, color: str, plain: bool) -> str:
@@ -81,10 +82,11 @@ def _paint(text: str, color: str, plain: bool) -> str:
 
 
 # --- handlers ----------------------------------------------------------------
+# A handler that writes files returns (anchor, seed, inputs, outputs,
+# config_hash) for its manifest, which `dispatch` writes after it returns.
 
 
-def _cmd_synth(args) -> int:
-    started = time.monotonic()
+def _cmd_synth(args) -> tuple:
     spec_obj = json.loads(Path(args.spec).read_text())
     kind = spec_obj.get("kind", "trials")
     out = Path(args.out)
@@ -103,15 +105,10 @@ def _cmd_synth(args) -> int:
     else:
         raise ConfigError(f"unknown synth kind {kind!r}")
     print(f"wrote {len(sessions)} session(s) under {out}")
-    _write_manifest(
-        out,
-        _manifest("synth", seed, [args.spec], [out], _sha256_file(args.spec), started),
-    )
-    return 0
+    return out, seed, [args.spec], [out], _sha256_file(args.spec)
 
 
-def _cmd_preprocess(args) -> int:
-    started = time.monotonic()
+def _cmd_preprocess(args) -> tuple:
     corpus = Path(args.input)
     sessions = list_sessions(corpus)
     if not sessions:
@@ -150,14 +147,10 @@ def _cmd_preprocess(args) -> int:
         json.dumps({"face_size": args.face_size, "alignment": args.alignment},
                    sort_keys=True)
     )
-    _write_manifest(
-        out, _manifest("preprocess", None, [corpus], [out], config_hash, started)
-    )
-    return 0
+    return out, None, [corpus], [out], config_hash
 
 
-def _cmd_pretrain_bae(args) -> int:
-    started = time.monotonic()
+def _cmd_pretrain_bae(args) -> tuple:
     config = PretrainConfig.from_json(args.config) if args.config else PretrainConfig()
     if args.seed is not None:
         config.seed = args.seed
@@ -188,7 +181,7 @@ def _cmd_pretrain_bae(args) -> int:
             f"{result.losses[-1]:.6f} over {config.epochs} epochs"
         )
     save_params(merged, out / "bae.ckpt")
-    (out / "bae_losses.csv").write_text("\n".join(curve_lines) + "\n")
+    write_lines(out / "bae_losses.csv", curve_lines)
     if args.dump_latents:
         _dump_latents(models, samples[: args.dump_latents], out)
     config_hash = (
@@ -196,14 +189,8 @@ def _cmd_pretrain_bae(args) -> int:
         if args.config
         else _sha256_text(json.dumps(asdict(config), sort_keys=True))
     )
-    _write_manifest(
-        out,
-        _manifest(
-            "pretrain-bae", config.seed, [args.data],
-            [out / "bae.ckpt", out / "bae_losses.csv"], config_hash, started,
-        ),
-    )
-    return 0
+    outputs = [out / "bae.ckpt", out / "bae_losses.csv"]
+    return out, config.seed, [args.data], outputs, config_hash
 
 
 def _dump_latents(models: dict, samples: list, out: Path) -> None:
@@ -223,8 +210,8 @@ def _dump_latents(models: dict, samples: list, out: Path) -> None:
                 trace_lines.append(
                     f"{sample.frame_index},{ch.value},{pos},{float(a)!r},{float(b)!r}"
                 )
-    (out / "latents.csv").write_text("\n".join(z_lines) + "\n")
-    (out / "reconstructions.csv").write_text("\n".join(trace_lines) + "\n")
+    write_lines(out / "latents.csv", z_lines)
+    write_lines(out / "reconstructions.csv", trace_lines)
 
 
 def _load_train_config(args) -> tuple:
@@ -241,8 +228,7 @@ def _load_train_config(args) -> tuple:
     return config, config_hash
 
 
-def _cmd_train(args) -> int:
-    started = time.monotonic()
+def _cmd_train(args) -> tuple:
     config, config_hash = _load_train_config(args)
     samples = read_samples(args.data)
     bae_values = None
@@ -258,26 +244,16 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     bmmn.save_model(result.model, out, config=config)
-    (out / "metrics.csv").write_text(bmmn.metrics_csv(result.metrics))
-    (out / "split.json").write_text(
-        json.dumps(
-            {
-                "train_subjects": list(result.train_subjects),
-                "eval_subjects": list(result.eval_subjects),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    write_lines(out / "metrics.csv", bmmn.metrics_csv(result.metrics))
+    write_json(out / "split.json", {
+        "train_subjects": list(result.train_subjects),
+        "eval_subjects": list(result.eval_subjects),
+    })
     if result.metrics:
         first, last = result.metrics[0][1], result.metrics[-1][1]
         print(f"train loss {first:.6f} -> {last:.6f} over {config.epochs} epochs")
     inputs = [args.data] + ([args.bae] if args.bae else [])
-    _write_manifest(
-        out, _manifest("train", config.seed, inputs, [out], config_hash, started)
-    )
-    return 0
+    return out, config.seed, inputs, [out], config_hash
 
 
 def _report_payload(report: evaluate.PrecisionReport) -> dict:
@@ -288,21 +264,17 @@ def _report_payload(report: evaluate.PrecisionReport) -> dict:
     }
 
 
-def _write_report(prefix: Path, report: evaluate.PrecisionReport) -> list:
+def _write_report(prefix: Path, payload: dict, rows: list) -> list:
+    """`<prefix>.json` holding `payload` and `<prefix>.csv` holding `rows`."""
     prefix.parent.mkdir(parents=True, exist_ok=True)
     json_path = Path(str(prefix) + ".json")
     csv_path = Path(str(prefix) + ".csv")
-    json_path.write_text(
-        json.dumps(_report_payload(report), indent=2, sort_keys=True) + "\n"
-    )
-    csv_path.write_text(
-        "\n".join(",".join(row) for row in evaluate.report_rows(report)) + "\n"
-    )
+    write_json(json_path, payload)
+    write_lines(csv_path, (",".join(row) for row in rows))
     return [json_path, csv_path]
 
 
-def _cmd_eval(args) -> int:
-    started = time.monotonic()
+def _cmd_eval(args) -> tuple:
     model = bmmn.load_model(args.model)
     samples = read_samples(args.data)
     if args.subjects:
@@ -311,43 +283,35 @@ def _cmd_eval(args) -> int:
     if not samples:
         raise IngestError("no samples selected for evaluation")
     report = evaluate.evaluate_model(model, samples, per_frame=args.per_frame)
-    outputs = _write_report(Path(args.out), report)
+    outputs = _write_report(
+        Path(args.out), _report_payload(report), evaluate.report_rows(report)
+    )
     print(f"macro average precision: {report.macro_average:.2f}% over n={report.n}")
     config_hash = _sha256_text(
         json.dumps({"per_frame": args.per_frame, "subjects": args.subjects or ""},
                    sort_keys=True)
     )
-    _write_manifest(
-        Path(args.out),
-        _manifest("eval", None, [args.model, args.data], outputs, config_hash, started),
-    )
-    return 0
+    return args.out, None, [args.model, args.data], outputs, config_hash
 
 
-def _cmd_ablate(args) -> int:
-    started = time.monotonic()
+def _cmd_ablate(args) -> tuple:
     config, config_hash = _load_train_config(args)
     samples = read_samples(args.data)
     result = evaluate.ablation_run(samples, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = []
     summary = {}
     for arm, report in result.reports.items():
         arm_dir = out / arm
         bmmn.save_model(result.models[arm], arm_dir, config=result.configs[arm])
-        outputs.extend(_write_report(arm_dir / "report", report))
         summary[arm] = _report_payload(report)
+        _write_report(arm_dir / "report", summary[arm], evaluate.report_rows(report))
         print(f"{arm}: macro average {report.macro_average:.2f}%")
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_manifest(
-        out, _manifest("ablate", config.seed, [args.data], [out], config_hash, started)
-    )
-    return 0
+    write_json(out / "summary.json", summary)
+    return out, config.seed, [args.data], [out], config_hash
 
 
-def _cmd_assess(args) -> int:
-    started = time.monotonic()
+def _cmd_assess(args) -> tuple:
     model = bmmn.load_model(args.model)
     session = load_session(args.session)
     traces = {ch: rescale(resample(t, MODEL_HZ)) for ch, t in session.traces.items()}
@@ -363,10 +327,6 @@ def _cmd_assess(args) -> int:
         samples, model, window_minutes=args.window_minutes
     )
     report = evaluate.summarize_therapy([assessment])
-    prefix = Path(args.out)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    json_path = Path(str(prefix) + ".json")
-    csv_path = Path(str(prefix) + ".csv")
     payload = {
         "patient": assessment.patient,
         "pre": {
@@ -385,26 +345,17 @@ def _cmd_assess(args) -> int:
         "clipped_windows": assessment.clipped_windows,
         "q2_to_q4_count": report.q2_to_q4_count,
     }
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    csv_path.write_text(
-        "\n".join(",".join(row) for row in evaluate.quadrant_rows(report)) + "\n"
-    )
+    outputs = _write_report(Path(args.out), payload, evaluate.quadrant_rows(report))
     print(
         f"{assessment.patient}: {assessment.pre.quadrant.value} -> "
         f"{assessment.post.quadrant.value}, movement {assessment.magnitude:.3f}"
     )
     config_hash = _sha256_text(json.dumps({"window_minutes": args.window_minutes}))
-    _write_manifest(
-        prefix,
-        _manifest(
-            "assess", None, [args.model, args.session], [json_path, csv_path],
-            config_hash, started,
-        ),
-    )
-    return 0
+    return args.out, None, [args.model, args.session], outputs, config_hash
 
 
 def _cmd_gradcheck(args) -> int:
+    """Writes no file, so returns its exit code and gets no manifest."""
     names = [args.op] if args.op else None
     results = gradcheck.run_suite(names=names, seed=args.seed)
     failed = []
@@ -500,8 +451,13 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        result = args.func(args)
+        if isinstance(result, int):
+            return result
+        _write_manifest(args.command, started, *result)
+        return 0
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BlobReader, CorruptionError, GraphError
+from .files import write_file
 from .tensor import Tensor
 
 _MAGIC = b"BAPC"
@@ -108,17 +109,16 @@ class ParamStore:
     def n_values(self) -> int:
         return sum(t.data.size for t in self.entries.values())
 
-    def load_values(self, values: dict[str, np.ndarray], prefix: str = "") -> int:
+    def load_values(self, values: dict[str, np.ndarray]) -> int:
         """Overwrite matching entries in place; returns how many were set."""
         n = 0
         for name, arr in values.items():
-            target = prefix + name
-            if target not in self.entries:
+            if name not in self.entries:
                 continue
-            t = self.entries[target]
+            t = self.entries[name]
             if t.data.shape != arr.shape:
                 raise CorruptionError(
-                    f"checkpoint value for {target!r} has shape {arr.shape}, "
+                    f"checkpoint value for {name!r} has shape {arr.shape}, "
                     f"expected {t.data.shape}"
                 )
             t.data[...] = arr
@@ -127,7 +127,10 @@ class ParamStore:
 
 
 def save_params(store: ParamStore, path) -> None:
-    path = Path(path)
+    write_file(path, _checkpoint_chunks(store))
+
+
+def _checkpoint_chunks(store: ParamStore):
     names = store.names()
     header = bytearray()
     header += _MAGIC
@@ -138,10 +141,9 @@ def save_params(store: ParamStore, path) -> None:
         header += struct.pack("<H", len(raw)) + raw
         header += struct.pack("<B", len(shape))
         header += struct.pack(f"<{len(shape)}I", *shape)
-    with open(path, "wb") as fh:
-        fh.write(bytes(header))
-        for name in names:
-            fh.write(np.ascontiguousarray(store[name].data, dtype="<f8").tobytes())
+    yield bytes(header)
+    for name in names:
+        yield np.ascontiguousarray(store[name].data, dtype="<f8").tobytes()
 
 
 def load_params(path) -> ParamStore:

@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BlobReader, CorruptionError, IngestError, ParseError, ValidationError
+from .files import write_file, write_json
 from .signals import (
     SEGMENT_LEN,
     SUPPORTED_SOURCE_HZ,
@@ -61,9 +62,7 @@ def write_pgm(path, image: np.ndarray) -> None:
     arr = np.clip(np.asarray(image, dtype=np.float64), 0.0, 1.0)
     data = np.round(arr * 255.0).astype(np.uint8)
     h, w = data.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(data.tobytes())
+    write_file(path, [f"P5\n{w} {h}\n255\n".encode("ascii"), data.tobytes()])
 
 
 def read_pgm(path) -> np.ndarray:
@@ -98,10 +97,11 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_signal_csv(path, trace: SignalTrace) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("time_s,value\n")
-        for t, v in zip(trace.sample_times(), trace.samples):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+    rows = zip(trace.sample_times(), trace.samples)
+    write_file(path, itertools.chain(
+        [b"time_s,value\n"],
+        (f"{float(t)!r},{float(v)!r}\n".encode("ascii") for t, v in rows),
+    ))
 
 
 def _signal_rows_by_line(path: Path) -> np.ndarray:
@@ -328,47 +328,42 @@ def _pack_str(s: str) -> bytes:
 def write_samples(path, samples: list, extra_meta: dict | None = None) -> None:
     """Write SyncedSamples to the binary container plus a JSON sidecar."""
     path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(_SAMPLES_MAGIC)
-        fh.write(struct.pack("<III", _SAMPLES_VERSION, len(samples), SEGMENT_LEN))
-        for s in samples:
-            fh.write(_pack_str(s.subject_id))
-            fh.write(_pack_str(s.session_id))
-            fh.write(struct.pack("<Id", s.frame_index, s.face.timestamp_s))
-            label_vec = np.concatenate(
-                [[s.label.valence, s.label.arousal, s.label.liking], s.label.emotions]
-            )
-            fh.write(np.ascontiguousarray(label_vec, dtype="<f8").tobytes())
-            for channel in (Channel.ECG, Channel.EDA):
-                fh.write(
-                    np.ascontiguousarray(
-                        s.segments[channel].window, dtype="<f8"
-                    ).tobytes()
-                )
-            if s.face.image is not None:
-                side = s.face.image.shape[0]
-                if s.face.image.shape != (side, side):
-                    raise IngestError("processed face images must be square")
-                fh.write(struct.pack("<BI", 0, side))
-                fh.write(np.ascontiguousarray(s.face.image, dtype="<f8").tobytes())
-            else:
-                fv = s.face.feature_vector
-                fh.write(struct.pack("<BI", 1, fv.size))
-                fh.write(np.ascontiguousarray(fv, dtype="<f8").tobytes())
-
-    subjects = sorted({s.subject_id for s in samples})
-    sessions = sorted({s.session_id for s in samples})
+    write_file(path, _sample_chunks(samples))
     meta = {
         "format_version": _SAMPLES_VERSION,
         "n_samples": len(samples),
         "segment_len": SEGMENT_LEN,
-        "subjects": subjects,
-        "sessions": sessions,
+        "subjects": sorted({s.subject_id for s in samples}),
+        "sessions": sorted({s.session_id for s in samples}),
     }
     if extra_meta:
         meta.update(extra_meta)
-    sidecar = path.with_suffix(path.suffix + ".json")
-    sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(path.with_suffix(path.suffix + ".json"), meta)
+
+
+def _sample_chunks(samples: list):
+    yield _SAMPLES_MAGIC
+    yield struct.pack("<III", _SAMPLES_VERSION, len(samples), SEGMENT_LEN)
+    for s in samples:
+        yield _pack_str(s.subject_id)
+        yield _pack_str(s.session_id)
+        yield struct.pack("<Id", s.frame_index, s.face.timestamp_s)
+        label_vec = np.concatenate(
+            [[s.label.valence, s.label.arousal, s.label.liking], s.label.emotions]
+        )
+        yield np.ascontiguousarray(label_vec, dtype="<f8").tobytes()
+        for channel in (Channel.ECG, Channel.EDA):
+            yield np.ascontiguousarray(s.segments[channel].window, dtype="<f8").tobytes()
+        if s.face.image is not None:
+            side = s.face.image.shape[0]
+            if s.face.image.shape != (side, side):
+                raise IngestError("processed face images must be square")
+            yield struct.pack("<BI", 0, side)
+            yield np.ascontiguousarray(s.face.image, dtype="<f8").tobytes()
+        else:
+            fv = s.face.feature_vector
+            yield struct.pack("<BI", 1, fv.size)
+            yield np.ascontiguousarray(fv, dtype="<f8").tobytes()
 
 
 def read_samples(path) -> list:

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .files import write_lines
 from .signals import AffectLabel, Channel, SignalTrace, rescale, segment_for_frames
 from .session_io import write_pgm, write_signal_csv
 
@@ -221,8 +222,8 @@ def _write_session_files(
         frame_rows.append(f"{idx},{float(t)!r}")
         coords = ",".join(f"{x!r},{y!r}" for x, y in landmarks)
         landmark_rows.append(f"{idx},{coords}")
-    (frames_dir / "frames.csv").write_text("\n".join(frame_rows) + "\n")
-    (frames_dir / "landmarks.csv").write_text("\n".join(landmark_rows) + "\n")
+    write_lines(frames_dir / "frames.csv", frame_rows)
+    write_lines(frames_dir / "landmarks.csv", landmark_rows)
 
 
 def _label_json(subject: str, session: str, label: AffectLabel) -> str:
@@ -275,7 +276,7 @@ def gen_dataset(spec: SynthSpec, out_dir) -> list:
             _write_session_files(session_dir, session, ecg, eda, frame_times, faces)
             label_lines.append(_label_json(subject, session, label))
             session_dirs.append(session_dir)
-    (out_dir / "labels.jsonl").write_text("\n".join(label_lines) + "\n")
+    write_lines(out_dir / "labels.jsonl", label_lines)
     return session_dirs
 
 
@@ -349,9 +350,7 @@ def gen_therapy_session(spec: TherapySpec, out_dir) -> Path:
     session_dir = out_dir / session
     _write_session_files(session_dir, session, ecg, eda, frame_times, faces)
     neutral = AffectLabel(5.0, 5.0, 5.0, emotions=np.eye(7)[0])
-    (out_dir / "labels.jsonl").write_text(
-        _label_json(spec.patient_id, session, neutral) + "\n"
-    )
+    write_lines(out_dir / "labels.jsonl", [_label_json(spec.patient_id, session, neutral)])
     return session_dir
 
 

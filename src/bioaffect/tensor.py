@@ -172,9 +172,12 @@ def _node(data: np.ndarray, parents: tuple, backprop) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    # `g + 0.0` is a fresh array with the bits of zeros + g, -0.0 included:
+    # a node never holds, and later adds into, an array an op passed in.
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g + 0.0
+    else:
+        t.grad += g
 
 
 def _toposort(root: Tensor) -> list:
@@ -202,13 +205,6 @@ class PoolIndices:
 
     indices: np.ndarray  # int64, same shape as the pooled output
     src_len: int
-
-    def __post_init__(self):
-        idx = self.indices
-        if idx.size and (idx.min() < 0 or idx.max() >= self.src_len):
-            raise CorruptionError(
-                f"pool indices out of bounds for source length {self.src_len}"
-            )
 
 
 # --- convolutions ---------------------------------------------------------
@@ -509,12 +505,12 @@ def unpool1d(x: Tensor, indices: PoolIndices, target_len: int) -> Tensor:
             f"unpool1d: stale indices, shape {indices.indices.shape} does not "
             f"match input {x.data.shape}"
         )
-    if indices.indices.size and indices.indices.max() >= target_len:
-        raise CorruptionError(
-            f"unpool1d: recorded index {int(indices.indices.max())} >= target "
-            f"length {target_len}"
-        )
     src = indices.indices
+    if src.size and (src.min() < 0 or src.max() >= target_len):
+        raise CorruptionError(
+            f"unpool1d: recorded indices span [{int(src.min())}, {int(src.max())}], "
+            f"outside target length {target_len}"
+        )
     rows = np.arange(x.data.shape[0])[:, None]
     out_data = _scatter_add(src + target_len * rows, x.data, (x.data.shape[0], target_len))
 

@@ -59,6 +59,17 @@ class TestBackward:
         loss.backward()
         assert p.grad[0] == 16.0
 
+    def test_first_grad_is_a_fresh_array_with_the_bits_of_zeros_plus_g(self):
+        # add_channel_bias hands its output gradient straight to its input.
+        x = Tensor(np.zeros((2, 3)))
+        out = T.add_channel_bias(x, Tensor(np.zeros(2)))
+        g = np.array([[-0.0, 1.5, -2.0], [0.0, -0.0, 3.0]])
+        out.grad = g
+        out._backprop()
+        assert not np.shares_memory(x.grad, g)
+        expected = np.zeros_like(g) + g
+        np.testing.assert_array_equal(x.grad.view(np.uint64), expected.view(np.uint64))
+
     def test_reused_node_fan_out(self):
         # p feeds two branches; gradient must sum both contributions.
         p = Tensor(np.array([3.0]), requires_grad=True)

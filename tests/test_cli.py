@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bioaffect import params, session_io
 from bioaffect.cli import dispatch
+from test_files import cut_after
 
 TRIALS_SPEC = {
     "kind": "trials",
@@ -252,6 +255,46 @@ class TestAblate:
         for arm in summary:
             assert (out / arm / "report.csv").exists()
             assert (out / arm / "params.ckpt").exists()
+
+
+class TestUnfinishedRuns:
+    """A command that fails mid-write keeps each target's previous bytes
+    (or leaves no file), no temporary file and no new manifest."""
+
+    def test_samples_cut_mid_write(self, corpus, tmp_path, monkeypatch):
+        _, corpus_dir = corpus
+        out = tmp_path / "samples.bin"
+        out.write_bytes(b"previous samples")
+        monkeypatch.setattr(session_io, "write_file", cut_after(3))
+        assert dispatch(["preprocess", "--in", str(corpus_dir), "--out", str(out)]) == 2
+        assert out.read_bytes() == b"previous samples"
+        assert os.listdir(tmp_path) == ["samples.bin"]
+
+    def test_checkpoint_cut_mid_write(self, processed, tmp_path, monkeypatch):
+        _, samples = processed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TRAIN_CONFIG, "epochs": 0}))
+        model_dir = tmp_path / "model"
+        model_dir.mkdir()
+        (model_dir / "params.ckpt").write_bytes(b"previous checkpoint")
+        monkeypatch.setattr(params, "write_file", cut_after(2))
+        assert dispatch(
+            ["train", "--data", str(samples), "--config", str(cfg), "--out", str(model_dir)]
+        ) == 2
+        assert (model_dir / "params.ckpt").read_bytes() == b"previous checkpoint"
+        assert sorted(os.listdir(model_dir)) == ["model.json", "params.ckpt"]
+
+    def test_failed_rename_exits_nonzero(self, corpus, tmp_path, monkeypatch, capsys):
+        _, corpus_dir = corpus
+
+        def refuse(src, dst):
+            raise PermissionError(f"cannot rename onto {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        out = tmp_path / "samples.bin"
+        assert dispatch(["preprocess", "--in", str(corpus_dir), "--out", str(out)]) == 2
+        assert "cannot rename" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 class TestGradcheckCommand:

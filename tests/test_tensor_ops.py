@@ -266,6 +266,12 @@ class TestUnpool1d:
         with pytest.raises(CorruptionError):
             T.unpool1d(x, idx, target_len=5)
 
+    def test_negative_index(self):
+        x = Tensor(np.zeros((1, 2)))
+        idx = PoolIndices(np.array([[-1, 2]], dtype=np.int64), 4)
+        with pytest.raises(CorruptionError, match="unpool1d"):
+            T.unpool1d(x, idx, target_len=4)
+
     def test_stale_shape(self):
         x = Tensor(np.zeros((2, 4)))
         idx = PoolIndices(np.zeros((1, 4), dtype=np.int64), 8)
