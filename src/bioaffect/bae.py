@@ -201,13 +201,6 @@ class PretrainConfig:
     batch_size: int = 8
     seed: int = 0
 
-    @classmethod
-    def from_json(cls, path):
-        import json
-        from pathlib import Path
-
-        return cls(**json.loads(Path(path).read_text()))
-
 
 @dataclass
 class PretrainResult:

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import tensor as T
 from .bae import BaeArch, BaeModel
-from .errors import ConfigError, GraphError, ShapeError
-from .files import write_json
+from .errors import ConfigError, CorruptionError, GraphError, ShapeError
+from .files import read_json, write_json
 from .optim import adam_step, fit  # noqa: F401 (perfbench/tracer.py wraps bmmn.adam_step)
 from .params import ParamStore, load_params, save_params
 from .signals import AffectLabel, Channel, label_targets
@@ -446,14 +446,8 @@ class TrainConfig:
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
 
-    @classmethod
-    def from_json(cls, path) -> "TrainConfig":
-        return cls(**json.loads(Path(path).read_text()))
-
     def to_json(self) -> str:
-        obj = asdict(self)
-        obj["holdout_subjects"] = list(self.holdout_subjects)
-        return json.dumps(obj, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def weights(self) -> LossWeights:
         return LossWeights(self.lambda_affect, self.lambda_recon)
@@ -592,25 +586,39 @@ def save_model(model: BmmnModel, out_dir, config: TrainConfig | None = None) -> 
         },
     }
     if config is not None:
-        meta["train_config"] = json.loads(config.to_json())
-    write_json(out_dir / "model.json", meta)
+        meta["train_config"] = asdict(config)
+    # The description goes last: a run cut while writing the checkpoint
+    # leaves the previous pair whole.
     save_params(model.store, out_dir / "params.ckpt")
+    write_json(out_dir / "model.json", meta)
+
+
+def _arch(cls, fields: dict):
+    """An architecture dataclass from its model.json object (JSON lists back to tuples)."""
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()})
 
 
 def load_model(model_dir) -> BmmnModel:
     model_dir = Path(model_dir)
-    meta = json.loads((model_dir / "model.json").read_text())
-    spec = ModelSpec(
-        variant=FusionVariant(meta["variant"]),
-        use_bio=meta["use_bio"],
-        use_spatial=meta["use_spatial"],
-        spatial_passthrough=meta["spatial_passthrough"],
-        bio_arch=BioNetArch(**{**meta["bio_arch"], "kernels": tuple(meta["bio_arch"]["kernels"]), "filters": tuple(meta["bio_arch"]["filters"])}),
-        spatial_arch=SpatialArch(**{**meta["spatial_arch"], "channels": tuple(meta["spatial_arch"]["channels"])}),
-        bae_arch=BaeArch(**{**meta["bae_arch"], "kernels": tuple(meta["bae_arch"]["kernels"]), "enc_filters": tuple(meta["bae_arch"]["enc_filters"])}),
-    )
+    meta_path = model_dir / "model.json"
+    meta = read_json(meta_path)
+    try:
+        spec = ModelSpec(
+            variant=FusionVariant(meta["variant"]),
+            use_bio=meta["use_bio"],
+            use_spatial=meta["use_spatial"],
+            spatial_passthrough=meta["spatial_passthrough"],
+            bio_arch=_arch(BioNetArch, meta["bio_arch"]),
+            spatial_arch=_arch(SpatialArch, meta["spatial_arch"]),
+            bae_arch=_arch(BaeArch, meta["bae_arch"]),
+        )
+        seed = meta["seed"]
+    except KeyError as exc:
+        raise CorruptionError(f"{meta_path}: missing field {exc.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CorruptionError(f"{meta_path}: {exc}") from None
     values = {name: t.data for name, t in load_params(model_dir / "params.ckpt").items()}
-    model = BmmnModel(spec, seed=meta["seed"], store=ParamStore(meta["seed"], values=values))
+    model = BmmnModel(spec, seed=seed, store=ParamStore(seed, values=values))
     n = sum(name in values for name in model.store.names())
     if n != len(model.store):
         raise ConfigError(

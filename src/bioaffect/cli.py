@@ -33,10 +33,10 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .files import write_json, write_lines
+from .files import build_config, read_json, write_json, write_lines
 from .params import ParamStore, load_params, save_params
-from .signals import MODEL_HZ, Channel, rescale, resample, synchronize
-from .session_io import list_sessions, load_session, read_samples, write_samples
+from .signals import Channel
+from .session_io import list_sessions, read_samples, session_samples, write_samples
 
 _USAGE_ERRORS = (ValidationError, ConfigError, ParseError, IngestError, ShapeError,
                  CorruptionError, FileNotFoundError, NotADirectoryError)
@@ -87,25 +87,21 @@ def _paint(text: str, color: str, plain: bool) -> str:
 
 
 def _cmd_synth(args) -> tuple:
-    spec_obj = json.loads(Path(args.spec).read_text())
-    kind = spec_obj.get("kind", "trials")
+    spec_obj = read_json(args.spec)
+    kind = spec_obj.pop("kind", "trials")
+    if kind not in ("trials", "therapy"):
+        raise ConfigError(f"{args.spec}: unknown synth kind {kind!r}")
+    spec_cls = synth.SynthSpec if kind == "trials" else synth.TherapySpec
+    spec = build_config(spec_cls, args.spec, spec_obj)
+    if args.seed is not None:
+        spec.rng_seed = args.seed
     out = Path(args.out)
     if kind == "trials":
-        spec = synth.SynthSpec.from_json(args.spec)
-        if args.seed is not None:
-            spec.rng_seed = args.seed
         sessions = synth.gen_dataset(spec, out)
-        seed = spec.rng_seed
-    elif kind == "therapy":
-        spec = synth.TherapySpec.from_json(args.spec)
-        if args.seed is not None:
-            spec.rng_seed = args.seed
-        sessions = [synth.gen_therapy_session(spec, out)]
-        seed = spec.rng_seed
     else:
-        raise ConfigError(f"unknown synth kind {kind!r}")
+        sessions = [synth.gen_therapy_session(spec, out)]
     print(f"wrote {len(sessions)} session(s) under {out}")
-    return out, seed, [args.spec], [out], _sha256_file(args.spec)
+    return out, spec.rng_seed, [args.spec], [out], _sha256_file(args.spec)
 
 
 def _cmd_preprocess(args) -> tuple:
@@ -115,22 +111,7 @@ def _cmd_preprocess(args) -> tuple:
         raise IngestError(f"{corpus}: no session directories found")
     all_samples = []
     for session_dir in sessions:
-        data = load_session(session_dir)
-        traces = {}
-        for ch, trace in data.traces.items():
-            trace = resample(trace, MODEL_HZ)
-            traces[ch] = rescale(trace)
-        all_samples.extend(
-            synchronize(
-                traces,
-                data.frames,
-                data.label,
-                data.subject_id,
-                data.session_id,
-                face_size=args.face_size,
-                alignment=args.alignment,
-            )
-        )
+        all_samples.extend(session_samples(session_dir, args.face_size, args.alignment))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_samples(
@@ -151,7 +132,7 @@ def _cmd_preprocess(args) -> tuple:
 
 
 def _cmd_pretrain_bae(args) -> tuple:
-    config = PretrainConfig.from_json(args.config) if args.config else PretrainConfig()
+    config = build_config(PretrainConfig, args.config) if args.config else PretrainConfig()
     if args.seed is not None:
         config.seed = args.seed
     samples = read_samples(args.data)
@@ -216,7 +197,7 @@ def _dump_latents(models: dict, samples: list, out: Path) -> None:
 
 def _load_train_config(args) -> tuple:
     if args.config:
-        config = bmmn.TrainConfig.from_json(args.config)
+        config = build_config(bmmn.TrainConfig, args.config)
         config_hash = _sha256_file(args.config)
     else:
         config = bmmn.TrainConfig()
@@ -313,16 +294,7 @@ def _cmd_ablate(args) -> tuple:
 
 def _cmd_assess(args) -> tuple:
     model = bmmn.load_model(args.model)
-    session = load_session(args.session)
-    traces = {ch: rescale(resample(t, MODEL_HZ)) for ch, t in session.traces.items()}
-    samples = synchronize(
-        traces,
-        session.frames,
-        session.label,
-        session.subject_id,
-        session.session_id,
-        face_size=model.spec.spatial_arch.side,
-    )
+    samples = session_samples(args.session, model.spec.spatial_arch.side)
     assessment = evaluate.therapy_assess(
         samples, model, window_minutes=args.window_minutes
     )

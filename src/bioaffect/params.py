@@ -17,6 +17,7 @@ Checkpoint layout (little-endian, versioned):
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from pathlib import Path
 
@@ -167,7 +168,7 @@ def load_params(path) -> ParamStore:
         metas.append((name, reader.unpack(f"<{ndim}I", f"shape of {name!r}")))
     store = ParamStore(rng_seed=seed)
     for name, shape in metas:
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)
         arr = np.frombuffer(reader.take(8 * n, f"values of {name!r}"), dtype="<f8")
         store.entries[name] = Tensor(arr.reshape(shape).astype(np.float64))
     reader.finish("value")

@@ -30,7 +30,6 @@ JSON sidecar. Record layout (little-endian):
 from __future__ import annotations
 
 import itertools
-import json
 import struct
 import warnings
 from pathlib import Path
@@ -38,8 +37,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BlobReader, CorruptionError, IngestError, ParseError, ValidationError
-from .files import write_file, write_json
+from .files import read_json_lines, read_lines, write_file, write_json
 from .signals import (
+    MODEL_HZ,
     SEGMENT_LEN,
     SUPPORTED_SOURCE_HZ,
     AffectLabel,
@@ -48,6 +48,9 @@ from .signals import (
     FrameRecord,
     SignalTrace,
     SyncedSample,
+    rescale,
+    resample,
+    synchronize,
 )
 
 _SAMPLES_MAGIC = b"BAFS"
@@ -96,72 +99,64 @@ def read_pgm(path) -> np.ndarray:
     return pixels.reshape(h, w).astype(np.float64) / 255.0
 
 
+_SIGNAL_HEADER = "time_s,value"
+
+
 def write_signal_csv(path, trace: SignalTrace) -> None:
     rows = zip(trace.sample_times(), trace.samples)
     write_file(path, itertools.chain(
-        [b"time_s,value\n"],
+        [f"{_SIGNAL_HEADER}\n".encode("ascii")],
         (f"{float(t)!r},{float(v)!r}\n".encode("ascii") for t, v in rows),
     ))
 
 
-def _signal_rows_by_line(path: Path) -> np.ndarray:
-    """Parse a signal CSV body one line at a time into (rows, 2).
+def _pair_rows(path, header: str, first, bad_row: str) -> list:
+    """`(first(a), float(b))` for each `a,b` row of a two-column CSV, read a line at a time.
 
-    This is the reference reader of the format: blank and whitespace-only
-    lines are skipped, every field is read with `float`, and a bad row
-    raises a ParseError that names `file:line`.
+    This is the reference reader of both formats: blank and whitespace-only
+    lines are skipped, and a bad header, byte or row raises a ParseError
+    that names `file:line`.
     """
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        fh.readline()
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric field") from exc
-    return np.array(rows, dtype=np.float64).reshape(-1, 2)
-
-
-def _line_of_row(path: Path, row: int) -> int:
-    """File line (1-based) of body row `row` (0-based); blank lines hold no row."""
-    with open(path, "r", encoding="ascii") as fh:
-        fh.readline()
-        lines = (lineno for lineno, line in enumerate(fh, start=2) if line.strip())
-        return next(itertools.islice(lines, row, None))
+    for lineno, line in read_lines(path, header=header):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
+        try:
+            rows.append((first(parts[0]), float(parts[1])))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: {bad_row}") from exc
+    return rows
 
 
 def read_signal_csv(path, channel: Channel) -> SignalTrace:
     path = Path(path)
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "time_s,value":
-            raise ParseError(f"{path}:1: expected header 'time_s,value', got {header!r}")
-        # One array parse of the body. A body it does not read as two float
-        # columns (a whitespace-only line, a bad field, a wrong field count,
-        # no rows at all) goes to the line reader, which skips or names
-        # the offending line.
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", UserWarning)  # loadtxt's "no data"
-                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except (ValueError, UserWarning):
-            rows = None
+    # One array parse of the body. A file it does not read as the header and
+    # two float columns (a bad header or byte, a whitespace-only line, a bad
+    # field, a wrong field count, no rows at all) goes to the line reader,
+    # which skips or names the offending line.
+    rows = None
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            if fh.readline().strip() == _SIGNAL_HEADER:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", UserWarning)  # loadtxt's "no data"
+                    rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, UserWarning):  # UnicodeDecodeError is a ValueError
+        pass
     if rows is None or rows.shape[1] != 2:
-        rows = _signal_rows_by_line(path)
+        rows = np.array(_pair_rows(path, _SIGNAL_HEADER, float, "non-numeric field"),
+                        dtype=np.float64).reshape(-1, 2)
     times_arr = np.ascontiguousarray(rows[:, 0])
     values = np.ascontiguousarray(rows[:, 1])
     if len(values) < 2:
         raise ParseError(f"{path}: need at least 2 samples, got {len(values)}")
     dt = np.diff(times_arr)
     if (dt <= 0).any():
-        line = _line_of_row(path, int(np.argmax(dt <= 0)) + 1)
-        raise ParseError(f"{path}:{line}: timestamps must be strictly increasing")
+        row = int(np.argmax(dt <= 0)) + 1
+        lines = read_lines(path, header=_SIGNAL_HEADER)
+        lineno, _ = next(itertools.islice(lines, row, None))
+        raise ParseError(f"{path}:{lineno}: timestamps must be strictly increasing")
     rate = (len(times_arr) - 1) / (times_arr[-1] - times_arr[0])
     for supported in SUPPORTED_SOURCE_HZ:
         if abs(rate - supported) / supported < 0.01:
@@ -175,77 +170,39 @@ def read_signal_csv(path, channel: Channel) -> SignalTrace:
     return SignalTrace(channel, rate, values, start_time_s=float(times_arr[0]))
 
 
-def _read_frames_csv(path) -> list:
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "frame_index,timestamp_s":
-            raise ParseError(
-                f"{path}:1: expected header 'frame_index,timestamp_s', got {header!r}"
-            )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-            try:
-                rows.append((int(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad frame row") from exc
-    return rows
-
-
 def _read_landmarks_csv(path) -> dict:
     table = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("frame_index"):
-                continue
-            parts = line.split(",")
-            if len(parts) < 5 or (len(parts) - 1) % 2 != 0:
-                raise ParseError(
-                    f"{path}:{lineno}: expected frame_index plus (x, y) pairs"
-                )
-            try:
-                idx = int(parts[0])
-                coords = [float(p) for p in parts[1:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric field") from exc
-            table[idx] = [(coords[i], coords[i + 1]) for i in range(0, len(coords), 2)]
+    for lineno, line in read_lines(path):
+        if line.startswith("frame_index"):
+            continue
+        parts = line.split(",")
+        if len(parts) < 5 or (len(parts) - 1) % 2 != 0:
+            raise ParseError(f"{path}:{lineno}: expected frame_index plus (x, y) pairs")
+        try:
+            idx = int(parts[0])
+            coords = [float(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric field") from exc
+        table[idx] = [(coords[i], coords[i + 1]) for i in range(0, len(coords), 2)]
     return table
 
 
-def parse_label_object(obj: dict) -> tuple:
-    for key in ("subject", "session", "valence", "arousal", "liking", "emotions"):
-        if key not in obj:
-            raise ValidationError(f"label object missing field {key!r}")
-    label = AffectLabel(
-        valence=obj["valence"],
-        arousal=obj["arousal"],
-        liking=obj["liking"],
-        emotions=np.asarray(obj["emotions"], dtype=np.float64),
-    )
-    return str(obj["subject"]), str(obj["session"]), label
-
-
 def read_labels_jsonl(path) -> dict:
-    """All labels keyed by session id."""
-    path = Path(path)
+    """`(subject, label)` keyed by session id; a bad label names `file:line`."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON") from exc
-            subject, session, label = parse_label_object(obj)
-            out[session] = (subject, label)
+    for lineno, obj in read_json_lines(path):
+        try:
+            subject, session = str(obj["subject"]), str(obj["session"])
+            out[session] = (subject, AffectLabel(
+                valence=obj["valence"],
+                arousal=obj["arousal"],
+                liking=obj["liking"],
+                emotions=np.asarray(obj["emotions"], dtype=np.float64),
+            ))
+        except KeyError as exc:
+            raise ValidationError(f"{path}:{lineno}: label missing field {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
@@ -263,16 +220,13 @@ class SessionData:
         self.session_id = session_id
 
 
-def load_session(session_dir, labels_file=None) -> SessionData:
-    """Parse and validate one session directory.
-
-    `labels_file` defaults to `labels.jsonl` next to the session directory.
-    """
+def load_session(session_dir) -> SessionData:
+    """Parse and validate one session directory; its label is in `labels.jsonl` next to it."""
     session_dir = Path(session_dir)
     if not session_dir.is_dir():
         raise IngestError(f"{session_dir}: not a directory")
     session_id = session_dir.name
-    labels_path = Path(labels_file) if labels_file else session_dir.parent / "labels.jsonl"
+    labels_path = session_dir.parent / "labels.jsonl"
     if not labels_path.exists():
         raise IngestError(f"labels file not found: {labels_path}")
     labels = read_labels_jsonl(labels_path)
@@ -291,7 +245,7 @@ def load_session(session_dir, labels_file=None) -> SessionData:
     frames_csv = frames_dir / "frames.csv"
     if not frames_csv.exists():
         raise IngestError(f"missing frames index: {frames_csv}")
-    rows = _read_frames_csv(frames_csv)
+    rows = _pair_rows(frames_csv, "frame_index,timestamp_s", int, "bad frame row")
     landmarks_csv = frames_dir / "landmarks.csv"
     landmark_table = _read_landmarks_csv(landmarks_csv) if landmarks_csv.exists() else {}
     frames = []
@@ -299,14 +253,20 @@ def load_session(session_dir, labels_file=None) -> SessionData:
         pgm = frames_dir / f"{idx}.pgm"
         if not pgm.exists():
             raise IngestError(f"missing frame image: {pgm}")
-        frames.append(
-            FrameRecord(
-                timestamp_s=t,
-                image=read_pgm(pgm),
-                landmarks=landmark_table.get(idx),
-            )
-        )
+        frames.append(FrameRecord(timestamp_s=t, image=read_pgm(pgm),
+                                  landmarks=landmark_table.get(idx)))
     return SessionData(traces, frames, label, subject_id, session_id)
+
+
+def session_samples(session_dir, face_size: int, alignment: str = "centered") -> list:
+    """The model samples of one raw session: its traces resampled to MODEL_HZ
+    and rescaled, then one window pair per frame."""
+    data = load_session(session_dir)
+    traces = {ch: rescale(resample(t, MODEL_HZ)) for ch, t in data.traces.items()}
+    return synchronize(
+        traces, data.frames, data.label, data.subject_id, data.session_id,
+        face_size=face_size, alignment=alignment,
+    )
 
 
 def list_sessions(corpus_dir) -> list:

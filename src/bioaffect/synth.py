@@ -59,12 +59,6 @@ class SynthSpec:
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be non-negative")
 
-    @classmethod
-    def from_json(cls, path) -> "SynthSpec":
-        obj = json.loads(Path(path).read_text())
-        obj.pop("kind", None)
-        return cls(**obj)
-
 
 def heart_rate_bpm(arousal: float) -> float:
     return 55.0 + 5.0 * arousal
@@ -295,12 +289,6 @@ class TherapySpec:
     fps: float = 0.25
     face_size: int = 64
     patient_id: str = "patient00"
-
-    @classmethod
-    def from_json(cls, path) -> "TherapySpec":
-        obj = json.loads(Path(path).read_text())
-        obj.pop("kind", None)
-        return cls(**obj)
 
 
 def gen_therapy_session(spec: TherapySpec, out_dir) -> Path:

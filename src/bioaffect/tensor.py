@@ -39,6 +39,7 @@ tap, whose summation order a rewrite would change.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -434,7 +435,7 @@ def _window_max(taps: dict) -> tuple:
 
 def _scatter_add(flat: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray:
     """Zeros of `shape` plus each value at its flat position, added in index order."""
-    return np.bincount(flat.ravel(), values.ravel(), int(np.prod(shape))).reshape(shape)
+    return np.bincount(flat.ravel(), values.ravel(), math.prod(shape)).reshape(shape)
 
 
 def maxpool1d(x: Tensor, window: int, stride: int) -> tuple:
@@ -611,7 +612,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     """Row-major reshape; element count must be preserved."""
     x = as_tensor(x)
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != x.data.size:
+    if math.prod(shape) != x.data.size:
         raise ShapeError(f"reshape: cannot view {x.data.shape} as {shape}")
 
     def backprop(g):

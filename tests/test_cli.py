@@ -282,7 +282,7 @@ class TestUnfinishedRuns:
             ["train", "--data", str(samples), "--config", str(cfg), "--out", str(model_dir)]
         ) == 2
         assert (model_dir / "params.ckpt").read_bytes() == b"previous checkpoint"
-        assert sorted(os.listdir(model_dir)) == ["model.json", "params.ckpt"]
+        assert sorted(os.listdir(model_dir)) == ["params.ckpt"]
 
     def test_failed_rename_exits_nonzero(self, corpus, tmp_path, monkeypatch, capsys):
         _, corpus_dir = corpus
@@ -295,6 +295,62 @@ class TestUnfinishedRuns:
         assert dispatch(["preprocess", "--in", str(corpus_dir), "--out", str(out)]) == 2
         assert "cannot rename" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+
+class TestMalformedInputs:
+    """A malformed config, spec or model description exits 1 and names the file."""
+
+    def _train_args(self, command, samples, cfg, tmp_path):
+        return [command, "--data", str(samples), "--config", str(cfg), "--out", str(tmp_path / "o")]
+
+    @pytest.mark.parametrize("command", ["train", "pretrain-bae"])
+    def test_invalid_config_json(self, processed, tmp_path, capsys, command):
+        _, samples = processed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"epochs": 1,\n "lr": }\n')
+        assert dispatch(self._train_args(command, samples, cfg, tmp_path)) == 1
+        assert f"{cfg}:2:8: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config", [
+        ("train", {**TRAIN_CONFIG, "epoch": 3}),
+        ("pretrain-bae", {**PRETRAIN_CONFIG, "epoch": 3}),
+        ("train", {**TRAIN_CONFIG, "variant": "bmmn3"}),
+        ("train", {**TRAIN_CONFIG, "epochs": "ten"}),
+    ])
+    def test_bad_config_field(self, processed, tmp_path, capsys, command, config):
+        _, samples = processed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert dispatch(self._train_args(command, samples, cfg, tmp_path)) == 1
+        assert f"{cfg}: " in capsys.readouterr().err
+
+    def test_invalid_synth_spec_json(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"kind": "trials", "n_subjects": 2')
+        assert dispatch(["synth", "--spec", str(spec), "--out", str(tmp_path / "c")]) == 1
+        assert f"{spec}:1:" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda text: text[: len(text) // 2], "invalid JSON"),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "bae_arch"}),
+         "missing field 'bae_arch'"),
+    ])
+    def test_damaged_model_description(self, processed, tmp_path, capsys, damage, message):
+        from bioaffect.bmmn import BmmnModel, save_model
+
+        _, samples = processed
+        model_dir = tmp_path / "model"
+        save_model(BmmnModel.build_toy("bmmn"), model_dir)
+        meta = model_dir / "model.json"
+        meta.write_text(damage(meta.read_text()))
+        code = dispatch(
+            ["eval", "--model", str(model_dir), "--data", str(samples),
+             "--out", str(tmp_path / "report")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{meta}:" in err and message in err
 
 
 class TestGradcheckCommand:

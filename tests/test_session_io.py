@@ -12,6 +12,7 @@ from bioaffect.session_io import (
     read_pgm,
     read_samples,
     read_signal_csv,
+    session_samples,
     write_pgm,
     write_samples,
     write_signal_csv,
@@ -119,6 +120,12 @@ class TestSignalCsv:
         with pytest.raises(ParseError, match=r"dup\.csv:5: timestamps must be strictly"):
             read_signal_csv(path, Channel.ECG)
 
+    def test_non_ascii_byte_after_blank_line_reports_file_line(self, tmp_path):
+        path = tmp_path / "byte.csv"
+        path.write_bytes(b"time_s,value\n0.0,1\n\n0.0078125,\xff2\n0.015625,3\n")
+        with pytest.raises(ParseError, match=r"byte\.csv:4: byte 0xff is not ascii"):
+            read_signal_csv(path, Channel.ECG)
+
     def test_unsupported_rate_rejected(self, tmp_path):
         path = tmp_path / "odd.csv"
         rows = ["time_s,value"] + [f"{i / 50.0},0.0" for i in range(100)]
@@ -170,6 +177,33 @@ class TestLoadSession:
         (session_dir / "frames" / "1.pgm").unlink()
         with pytest.raises(IngestError, match="1.pgm"):
             load_session(session_dir)
+
+    def test_non_ascii_byte_in_frames_csv_reports_file_line(self, tmp_path):
+        session_dir = write_minimal_session(tmp_path)
+        (session_dir / "frames" / "frames.csv").write_bytes(
+            b"frame_index,timestamp_s\n0,1.0\n\n1,3.0\xff\n2,5.0\n"
+        )
+        with pytest.raises(ParseError, match=r"frames\.csv:4: byte 0xff is not ascii"):
+            load_session(session_dir)
+
+    def test_non_numeric_valence_reports_labels_line(self, tmp_path):
+        session_dir = write_minimal_session(tmp_path)
+        good = (tmp_path / "labels.jsonl").read_text()
+        bad = json.dumps({**json.loads(good), "session": "p00_t01", "valence": "high"})
+        (tmp_path / "labels.jsonl").write_text(good + "\n" + bad + "\n")
+        with pytest.raises(ValidationError, match=r"labels\.jsonl:3: could not convert"):
+            load_session(session_dir)
+
+    @pytest.mark.parametrize("face_size, alignment", [(64, "centered"), (32, "leading")])
+    def test_session_samples_is_the_ingest_chain(self, tmp_path, face_size, alignment):
+        session_dir = write_minimal_session(tmp_path)
+        data = load_session(session_dir)
+        traces = {c: rescale(resample(t, MODEL_HZ)) for c, t in data.traces.items()}
+        by_hand = synchronize(traces, data.frames, data.label, data.subject_id,
+                              data.session_id, face_size=face_size, alignment=alignment)
+        write_samples(tmp_path / "hand.bin", by_hand)
+        write_samples(tmp_path / "one.bin", session_samples(session_dir, face_size, alignment))
+        assert (tmp_path / "one.bin").read_bytes() == (tmp_path / "hand.bin").read_bytes()
 
     def test_list_sessions_sorted(self, tmp_path):
         write_minimal_session(tmp_path, session="b_t00")
