@@ -18,10 +18,34 @@ import numpy as np
 
 from . import tensor as T
 from .errors import GraphError, ShapeError
-from .optim import fit
+from .optim import check_fit_settings, fit
 from .params import ParamStore
 from .signals import BioSegment, Channel
 from .tensor import Tensor
+
+
+def conv_pool_lengths(length: int, kernels, pool: int) -> list:
+    """(conv_len, pool_len) per valid-conv/max-pool block, starting from `length`."""
+    out = []
+    for k in kernels:
+        conv_len = length - k + 1
+        length = (conv_len - pool) // pool + 1
+        out.append((conv_len, length))
+    return out
+
+
+def create_convs(store: ParamStore, prefix: str, blocks, first: int = 1) -> None:
+    """`{prefix}conv{i}.w` of each weight shape (out, in, *kernel) in `blocks`,
+    numbered from `first`, each followed by its zero bias `.b`."""
+    for i, shape in enumerate(blocks, start=first):
+        store.create(f"{prefix}conv{i}.w", shape)
+        store.create(f"{prefix}conv{i}.b", (shape[0],), init="zeros")
+
+
+def conv_relu(store: ParamStore, prefix: str, i: int, conv, h: Tensor) -> Tensor:
+    """relu(conv(h, w) + b) with block i's `{prefix}conv{i}` parameters."""
+    h = conv(h, store[f"{prefix}conv{i}.w"])
+    return T.relu(T.add_channel_bias(h, store[f"{prefix}conv{i}.b"]))
 
 
 @dataclass(frozen=True)
@@ -44,14 +68,8 @@ class BaeArch:
 
     def encoder_chain(self) -> list:
         """Lengths after each conv and pool, in order."""
-        chain = []
-        length = self.seg_len
-        for k in self.kernels:
-            length = length - k + 1
-            chain.append(length)
-            length = (length - self.pool) // self.pool + 1
-            chain.append(length)
-        return chain
+        pairs = conv_pool_lengths(self.seg_len, self.kernels, self.pool)
+        return [n for pair in pairs for n in pair]
 
     def decoder_chain(self) -> list:
         """Lengths after each unpool and conv, ending at seg_len."""
@@ -97,25 +115,15 @@ class BaeModel:
     def _build(self):
         arch = self.arch
         p = self.prefix
-        in_ch = 1
-        for i, (k, f) in enumerate(zip(arch.kernels, arch.enc_filters), start=1):
-            self.store.create(f"{p}enc.conv{i}.w", (f, in_ch, k))
-            self.store.create(f"{p}enc.conv{i}.b", (f,), init="zeros")
-            in_ch = f
+        filters = arch.enc_filters
+        create_convs(self.store, f"{p}enc.", zip(filters, (1, *filters), arch.kernels))
         self.store.create(f"{p}enc.fc.w", (arch.latent, arch.flat_width))
         self.store.create(f"{p}enc.fc.b", (arch.latent,), init="zeros")
         self.store.create(f"{p}dec.fc.w", (arch.flat_width, arch.latent))
         self.store.create(f"{p}dec.fc.b", (arch.flat_width,), init="zeros")
-        n = len(arch.kernels)
-        dec_out = list(arch.enc_filters[:-1][::-1]) + [1]  # mirror, then 1 channel
-        in_ch = arch.enc_filters[-1]
-        for j, (k, f) in enumerate(zip(arch.kernels[::-1], dec_out), start=n + 1):
-            self.store.create(f"{p}dec.conv{j}.w", (f, in_ch, k))
-            self.store.create(f"{p}dec.conv{j}.b", (f,), init="zeros")
-            in_ch = f
-        # Chain sanity at construction: mirrored lengths must meet exactly.
-        enc, dec = self.arch.encoder_chain(), self.arch.decoder_chain()
-        assert dec[-1] == arch.seg_len and len(dec) == len(enc), (enc, dec)
+        dec_out = (*filters[-2::-1], 1)  # mirror, then 1 channel
+        dec_blocks = zip(dec_out, (filters[-1], *dec_out), arch.kernels[::-1])
+        create_convs(self.store, f"{p}dec.", dec_blocks, first=len(arch.kernels) + 1)
 
     def _p(self, name: str) -> Tensor:
         return self.store[self.prefix + name]
@@ -129,15 +137,11 @@ class BaeModel:
             raise ShapeError(
                 f"encoder input must have {arch.seg_len} samples, got {x.data.shape}"
             )
-        chain = arch.encoder_chain()
         indices = []
         h = x
         for i in range(1, len(arch.kernels) + 1):
-            h = T.conv1d_valid(h, self._p(f"enc.conv{i}.w"))
-            h = T.relu(T.add_channel_bias(h, self._p(f"enc.conv{i}.b")))
-            assert h.data.shape[1] == chain[2 * i - 2], (h.data.shape, chain)
+            h = conv_relu(self.store, f"{self.prefix}enc.", i, T.conv1d_valid, h)
             h, idx = T.maxpool1d(h, window=arch.pool, stride=arch.pool)
-            assert h.data.shape[1] == chain[2 * i - 1], (h.data.shape, chain)
             indices.append(idx)
         z = T.linear(T.flatten(h), self._p("enc.fc.w"), self._p("enc.fc.b"))
         return z, tuple(indices)
@@ -154,22 +158,14 @@ class BaeModel:
                 f"need {len(arch.kernels)} pool index sets, got {len(indices)}"
             )
         enc_chain = arch.encoder_chain()
-        dec_chain = arch.decoder_chain()
         h = T.linear(z, self._p("dec.fc.w"), self._p("dec.fc.b"))
         h = T.reshape(h, (arch.enc_filters[-1], enc_chain[-1]))
         n = len(arch.kernels)
+        # unpool1d raises GraphError on indices stale for this input.
         for step, i in enumerate(range(n - 1, -1, -1)):
-            idx = indices[i]
-            if idx.indices.shape != h.data.shape:
-                raise GraphError(
-                    f"stale pool indices: {idx.indices.shape} vs {h.data.shape}"
-                )
-            h = T.unpool1d(h, idx, target_len=enc_chain[2 * i])
-            assert h.data.shape[1] == dec_chain[2 * step], (h.data.shape, dec_chain)
-            layer = n + 1 + step
-            h = T.conv1d_full(h, self._p(f"dec.conv{layer}.w"))
-            h = T.relu(T.add_channel_bias(h, self._p(f"dec.conv{layer}.b")))
-            assert h.data.shape[1] == dec_chain[2 * step + 1], (h.data.shape, dec_chain)
+            h = T.unpool1d(h, indices[i], target_len=enc_chain[2 * i])
+            h = conv_relu(self.store, f"{self.prefix}dec.", n + 1 + step, T.conv1d_full, h)
+        assert h.data.shape == (1, arch.seg_len), h.data.shape
         return h
 
     # Typed, non-graph entry points.
@@ -200,6 +196,9 @@ class PretrainConfig:
     lr: float = 1e-4
     batch_size: int = 8
     seed: int = 0
+
+    def __post_init__(self):
+        check_fit_settings(self.epochs, self.batch_size, self.lr)
 
 
 @dataclass

@@ -25,10 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .bae import BaeArch, BaeModel
+from .bae import BaeArch, BaeModel, conv_pool_lengths, conv_relu, create_convs
 from .errors import ConfigError, CorruptionError, GraphError, ShapeError
 from .files import read_json, write_json
-from .optim import adam_step, fit  # noqa: F401 (perfbench/tracer.py wraps bmmn.adam_step)
+from .optim import check_fit_settings, fit
+from .optim import adam_step  # noqa: F401 (perfbench/tracer.py wraps bmmn.adam_step)
 from .params import ParamStore, load_params, save_params
 from .signals import AffectLabel, Channel, label_targets
 from .tensor import Tensor
@@ -56,14 +57,7 @@ class BioNetArch:
 
     def chain(self) -> list:
         """(conv_len, pool_len) per block."""
-        out = []
-        length = self.seg_len
-        for k in self.kernels:
-            conv_len = length - k + 1
-            pool_len = (conv_len - self.pool) // self.pool + 1
-            out.append((conv_len, pool_len))
-            length = pool_len
-        return out
+        return conv_pool_lengths(self.seg_len, self.kernels, self.pool)
 
     def merge_width(self) -> int:
         """Width of one channel's concatenated pooled maps."""
@@ -83,13 +77,9 @@ class SpatialArch:
         return cls(side=12, channels=(3, 4), features=10)
 
     def chain(self) -> list:
-        out = []
-        side = self.side
-        for _ in self.channels:
-            side = side - self.kernel + 1
-            side = (side - self.pool) // self.pool + 1
-            out.append(side)
-        return out
+        """Side after each block's pool."""
+        kernels = [self.kernel] * len(self.channels)
+        return [side for _, side in conv_pool_lengths(self.side, kernels, self.pool)]
 
     def flat_width(self) -> int:
         return self.channels[-1] * self.chain()[-1] ** 2
@@ -229,27 +219,18 @@ class BmmnModel:
         spec = self.spec
         streams = spec.streams()
         if "bio" in streams:
+            bio = spec.bio_arch
+            blocks = list(zip(bio.filters, (1, *bio.filters), bio.kernels))
             for ch in CHANNEL_ORDER:
-                in_ch = 1
-                for i, (k, f) in enumerate(
-                    zip(spec.bio_arch.kernels, spec.bio_arch.filters), start=1
-                ):
-                    self.store.create(f"bio.{ch.value}.conv{i}.w", (f, in_ch, k))
-                    self.store.create(f"bio.{ch.value}.conv{i}.b", (f,), init="zeros")
-                    in_ch = f
+                create_convs(self.store, f"bio.{ch.value}.", blocks)
         if "spatial" in streams and spec.spatial_passthrough is None:
-            in_ch = 1
-            for i, f in enumerate(spec.spatial_arch.channels, start=1):
-                self.store.create(
-                    f"spatial.conv{i}.w",
-                    (f, in_ch, spec.spatial_arch.kernel, spec.spatial_arch.kernel),
-                )
-                self.store.create(f"spatial.conv{i}.b", (f,), init="zeros")
-                in_ch = f
-            self.store.create(
-                "spatial.fc.w", (spec.spatial_arch.features, spec.spatial_arch.flat_width())
-            )
-            self.store.create("spatial.fc.b", (spec.spatial_arch.features,), init="zeros")
+            face = spec.spatial_arch
+            k = face.kernel
+            create_convs(self.store, "spatial.", [
+                (f, c, k, k) for f, c in zip(face.channels, (1, *face.channels))
+            ])
+            self.store.create("spatial.fc.w", (face.features, face.flat_width()))
+            self.store.create("spatial.fc.b", (face.features,), init="zeros")
         if spec.variant != FusionVariant.BMMN:
             for ch in CHANNEL_ORDER:
                 self.baes[ch] = BaeModel(self.store, ch, arch=spec.bae_arch)
@@ -268,12 +249,9 @@ class BmmnModel:
             )
         h = Tensor(window.reshape(1, -1))
         pooled_maps = []
-        for i, (conv_len, pool_len) in enumerate(arch.chain(), start=1):
-            h = T.conv1d_valid(h, self.store[f"bio.{ch.value}.conv{i}.w"])
-            h = T.relu(T.add_channel_bias(h, self.store[f"bio.{ch.value}.conv{i}.b"]))
-            assert h.data.shape[1] == conv_len
+        for i in range(1, len(arch.kernels) + 1):
+            h = conv_relu(self.store, f"bio.{ch.value}.", i, T.conv1d_valid, h)
             h, _ = T.maxpool1d(h, window=arch.pool, stride=arch.pool)
-            assert h.data.shape[1] == pool_len
             pooled_maps.append(T.flatten(h))
         return T.concat(pooled_maps)
 
@@ -308,8 +286,7 @@ class BmmnModel:
             )
         h = Tensor(img.reshape(1, arch.side, arch.side))
         for i in range(1, len(arch.channels) + 1):
-            h = T.conv2d_valid(h, self.store[f"spatial.conv{i}.w"])
-            h = T.relu(T.add_channel_bias(h, self.store[f"spatial.conv{i}.b"]))
+            h = conv_relu(self.store, "spatial.", i, T.conv2d_valid, h)
             h = T.maxpool2d(h, window=arch.pool, stride=arch.pool)
         feats = T.linear(T.flatten(h), self.store["spatial.fc.w"], self.store["spatial.fc.b"])
         assert feats.data.shape == (arch.features,)
@@ -441,10 +418,7 @@ class TrainConfig:
     def __post_init__(self):
         self.variant = FusionVariant(self.variant).value
         self.holdout_subjects = tuple(self.holdout_subjects)
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0 and batch_size >= 1")
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
+        check_fit_settings(self.epochs, self.batch_size, self.lr)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)

@@ -237,14 +237,6 @@ def _cmd_train(args) -> tuple:
     return out, config.seed, inputs, [out], config_hash
 
 
-def _report_payload(report: evaluate.PrecisionReport) -> dict:
-    return {
-        "per_label": report.per_label,
-        "macro_average": report.macro_average,
-        "n": report.n,
-    }
-
-
 def _write_report(prefix: Path, payload: dict, rows: list) -> list:
     """`<prefix>.json` holding `payload` and `<prefix>.csv` holding `rows`."""
     prefix.parent.mkdir(parents=True, exist_ok=True)
@@ -265,7 +257,7 @@ def _cmd_eval(args) -> tuple:
         raise IngestError("no samples selected for evaluation")
     report = evaluate.evaluate_model(model, samples, per_frame=args.per_frame)
     outputs = _write_report(
-        Path(args.out), _report_payload(report), evaluate.report_rows(report)
+        Path(args.out), asdict(report), evaluate.report_rows(report)
     )
     print(f"macro average precision: {report.macro_average:.2f}% over n={report.n}")
     config_hash = _sha256_text(
@@ -285,7 +277,7 @@ def _cmd_ablate(args) -> tuple:
     for arm, report in result.reports.items():
         arm_dir = out / arm
         bmmn.save_model(result.models[arm], arm_dir, config=result.configs[arm])
-        summary[arm] = _report_payload(report)
+        summary[arm] = asdict(report)
         _write_report(arm_dir / "report", summary[arm], evaluate.report_rows(report))
         print(f"{arm}: macro average {report.macro_average:.2f}%")
     write_json(out / "summary.json", summary)
@@ -299,24 +291,8 @@ def _cmd_assess(args) -> tuple:
         samples, model, window_minutes=args.window_minutes
     )
     report = evaluate.summarize_therapy([assessment])
-    payload = {
-        "patient": assessment.patient,
-        "pre": {
-            "valence_scaled": assessment.pre.valence_scaled,
-            "arousal_scaled": assessment.pre.arousal_scaled,
-            "quadrant": assessment.pre.quadrant.value,
-        },
-        "post": {
-            "valence_scaled": assessment.post.valence_scaled,
-            "arousal_scaled": assessment.post.arousal_scaled,
-            "quadrant": assessment.post.quadrant.value,
-        },
-        "movement": list(assessment.movement),
-        "magnitude": assessment.magnitude,
-        "q2_to_q4": assessment.q2_to_q4,
-        "clipped_windows": assessment.clipped_windows,
-        "q2_to_q4_count": report.q2_to_q4_count,
-    }
+    # json writes the str-enum quadrants as their values and the movement tuple as a list.
+    payload = {**asdict(assessment), "q2_to_q4_count": report.q2_to_q4_count}
     outputs = _write_report(Path(args.out), payload, evaluate.quadrant_rows(report))
     print(
         f"{assessment.patient}: {assessment.pre.quadrant.value} -> "

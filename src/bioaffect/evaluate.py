@@ -45,6 +45,13 @@ class PrecisionReport:
         return {k: v for k, v in self.per_label.items() if v is not None}
 
 
+def _precision_percent(pairs) -> float | None:
+    """100 * TP / (TP + FP) over (predicted positive, truly positive) pairs;
+    None when nothing was predicted positive."""
+    truths = [truth for predicted, truth in pairs if predicted]
+    return 100.0 * sum(truths) / len(truths) if truths else None
+
+
 def precision(predictions: list, labels: list) -> PrecisionReport:
     """TP / (TP + FP) per label over paired predictions and ground truth."""
     if len(predictions) != len(labels):
@@ -54,28 +61,18 @@ def precision(predictions: list, labels: list) -> PrecisionReport:
     if not predictions:
         raise GraphError("precision: need at least one prediction")
     per_label: dict = {}
-    for i, name in enumerate(AFFECT_NAMES):
-        tp = fp = 0
-        for est, label in zip(predictions, labels):
-            pred_high = binarize_affect(getattr(est, name)) == "high"
-            true_high = binarize_affect(getattr(label, name)) == "high"
-            if pred_high:
-                if true_high:
-                    tp += 1
-                else:
-                    fp += 1
-        per_label[name] = 100.0 * tp / (tp + fp) if tp + fp else None
+    for name in AFFECT_NAMES:
+        per_label[name] = _precision_percent(
+            (binarize_affect(getattr(est, name)) == "high",
+             binarize_affect(getattr(label, name)) == "high")
+            for est, label in zip(predictions, labels)
+        )
     pred_classes = [est.emotion_class() for est in predictions]
     true_classes = [label.emotion_class() for label in labels]
     for c, name in enumerate(EMOTION_NAMES):
-        tp = fp = 0
-        for p, t in zip(pred_classes, true_classes):
-            if p == c:
-                if t == c:
-                    tp += 1
-                else:
-                    fp += 1
-        per_label[name] = 100.0 * tp / (tp + fp) if tp + fp else None
+        per_label[name] = _precision_percent(
+            (p == c, t == c) for p, t in zip(pred_classes, true_classes)
+        )
     defined = [v for v in per_label.values() if v is not None]
     macro = float(np.mean(defined)) if defined else 0.0
     return PrecisionReport(per_label=per_label, macro_average=macro, n=len(predictions))

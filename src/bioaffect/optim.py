@@ -7,7 +7,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import GraphError, NonFiniteError
+from .errors import ConfigError, GraphError, NonFiniteError
 from .params import ParamStore
 
 
@@ -59,6 +59,14 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
         v += (1.0 - state.beta2) * (g * g)
         p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
         p._spectra = None
+
+
+def check_fit_settings(epochs: int, batch_size: int, lr: float) -> None:
+    """ConfigError unless epochs >= 0, batch_size >= 1 and lr > 0, as `fit` needs."""
+    if epochs < 0 or batch_size < 1:
+        raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+    if not lr > 0:
+        raise ConfigError("learning rate must be positive")
 
 
 def fit(store: ParamStore, n_items: int, epochs: int, batch_size: int, lr: float,

@@ -24,7 +24,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .files import write_lines
-from .signals import AffectLabel, Channel, SignalTrace, rescale, segment_for_frames
+from .signals import (
+    AFFECT_NAMES, AffectLabel, Channel, SignalTrace, rescale, segment_for_frames,
+)
 from .session_io import write_pgm, write_signal_csv
 
 DEFAULT_PLANTED_MAP = {
@@ -37,6 +39,35 @@ DEFAULT_PLANTED_MAP = {
 }
 
 FACE_PAD = 8  # frames embed the face pattern with this background margin
+
+
+def _check_positive(**values) -> None:
+    for name, value in values.items():
+        if not value > 0:
+            raise ConfigError(f"{name} must be positive, got {value}")
+
+
+def _check_recording(spec) -> None:
+    """The checks shared by both spec kinds: sampling rates, noise and face size."""
+    _check_hz(spec.signal_hz)
+    _check_positive(fps=spec.fps, face_size=spec.face_size)
+    if spec.noise_sigma < 0:
+        raise ConfigError("noise_sigma must be non-negative")
+
+
+def _check_planted_map(planted) -> None:
+    if not isinstance(planted, dict):
+        raise ConfigError(f"planted_map must be an object, got {type(planted).__name__}")
+    unknown = sorted(set(planted) - set(DEFAULT_PLANTED_MAP))
+    if unknown:
+        raise ConfigError(f"planted_map: unknown key(s) {', '.join(map(repr, unknown))}")
+    for key, target in planted.items():
+        allowed = ("emotion",) if key == "face_orientation" else AFFECT_NAMES
+        if target is not None and target not in allowed:
+            raise ConfigError(
+                f"planted_map[{key!r}] must be one of {', '.join(allowed)} or null, "
+                f"got {target!r}"
+            )
 
 
 @dataclass
@@ -56,8 +87,9 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_subjects < 1 or self.trials_per_subject < 1:
             raise ConfigError("subject and trial counts must be positive")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be non-negative")
+        _check_positive(trial_seconds=self.trial_seconds)
+        _check_recording(self)
+        _check_planted_map(self.planted_map)
 
 
 def heart_rate_bpm(arousal: float) -> float:
@@ -289,6 +321,13 @@ class TherapySpec:
     fps: float = 0.25
     face_size: int = 64
     patient_id: str = "patient00"
+
+    def __post_init__(self):
+        _check_positive(minutes=self.minutes)
+        _check_recording(self)
+        for name in ("start_valence", "start_arousal", "end_valence", "end_arousal"):
+            if not 1.0 <= getattr(self, name) <= 9.0:
+                raise ConfigError(f"{name} = {getattr(self, name)} outside [1, 9]")
 
 
 def gen_therapy_session(spec: TherapySpec, out_dir) -> Path:

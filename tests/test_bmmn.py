@@ -1,5 +1,7 @@
 """Fusion network: stream widths, variant wiring, loss combination, training."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,25 @@ class TestWidths:
     def test_passthrough_width(self):
         spec = ModelSpec(spatial_passthrough=512)
         assert spec.spatial_width() == 512
+
+
+# sha256 of each variant's production parameter list, one "name shape" line
+# per parameter in creation order. The order fixes the checkpoint layout,
+# so a change here stops earlier checkpoints from loading.
+PARAM_LIST_SHA256 = {
+    "bmmn": (26, "43873051f9a8ce4a33ef59cafd0e69114a268e3c028fd97e689d023105fa2794"),
+    "bae1": (42, "161ad15b33fbefc85b0b07a6fa3f15756e63d5c2c479def7f30676f64e7f0b83"),
+    "bae2": (58, "8a578a8eea7ef65689886f51e78c154fe4d494c948a6ac35d435555b8a1260b5"),
+}
+
+
+class TestParameterLayout:
+    @pytest.mark.parametrize("variant", sorted(PARAM_LIST_SHA256))
+    def test_production_parameter_list_is_pinned(self, variant):
+        model = BmmnModel(ModelSpec(variant=FusionVariant(variant)), seed=0)
+        listing = "\n".join(f"{name} {t.data.shape}" for name, t in model.store.items())
+        digest = hashlib.sha256(listing.encode()).hexdigest()
+        assert (len(model.store), digest) == PARAM_LIST_SHA256[variant]
 
 
 class TestForward:

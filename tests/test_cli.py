@@ -316,6 +316,10 @@ class TestMalformedInputs:
         ("pretrain-bae", {**PRETRAIN_CONFIG, "epoch": 3}),
         ("train", {**TRAIN_CONFIG, "variant": "bmmn3"}),
         ("train", {**TRAIN_CONFIG, "epochs": "ten"}),
+        ("pretrain-bae", {**PRETRAIN_CONFIG, "batch_size": 0}),
+        ("pretrain-bae", {**PRETRAIN_CONFIG, "epochs": -1}),
+        ("pretrain-bae", {**PRETRAIN_CONFIG, "lr": -1.0}),
+        ("pretrain-bae", {**PRETRAIN_CONFIG, "lr": 0.0}),
     ])
     def test_bad_config_field(self, processed, tmp_path, capsys, command, config):
         _, samples = processed
@@ -329,6 +333,26 @@ class TestMalformedInputs:
         spec.write_text('{"kind": "trials", "n_subjects": 2')
         assert dispatch(["synth", "--spec", str(spec), "--out", str(tmp_path / "c")]) == 1
         assert f"{spec}:1:" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("spec_obj", [
+        {"kind": "therapy", "minutes": 2.0, "fps": 0},
+        {"kind": "therapy", "minutes": -1.0},
+        {"kind": "therapy", "minutes": 2.0, "signal_hz": 256.0},
+        {"kind": "therapy", "minutes": 2.0, "start_valence": 12.0},
+        {"kind": "therapy", "minutes": 2.0, "face_size": 0},
+        {**TRIALS_SPEC, "fps": 0},
+        {**TRIALS_SPEC, "trial_seconds": 0},
+        {**TRIALS_SPEC, "planted_map": {"ecg_rate": "joy"}},
+        {**TRIALS_SPEC, "planted_map": {"ecg_rat": "arousal"}},
+        {**TRIALS_SPEC, "planted_map": {"face_orientation": "valence"}},
+        {**TRIALS_SPEC, "planted_map": ["ecg_rate"]},
+    ])
+    def test_out_of_range_synth_spec(self, tmp_path, capsys, spec_obj):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(spec_obj))
+        assert dispatch(["synth", "--spec", str(spec), "--out", str(tmp_path / "c")]) == 1
+        assert f"{spec}: " in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("damage, message", [
