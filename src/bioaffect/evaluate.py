@@ -9,6 +9,7 @@ rather than silently counted as perfect abstention.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -238,6 +239,10 @@ def therapy_assess(samples: list, model, window_minutes: float = 15.0) -> Patien
     Sessions shorter than two windows are split at their midpoint instead
     (with a warning); the two windows never overlap either way.
     """
+    if not (math.isfinite(window_minutes) and window_minutes > 0):
+        raise ConfigError(
+            f"therapy_assess: window_minutes must be finite and > 0, got {window_minutes}"
+        )
     if not samples:
         raise GraphError("therapy_assess: no samples")
     ordered = sorted(samples, key=lambda s: s.face.timestamp_s)

@@ -26,24 +26,30 @@ full) over the kernels with their in/out axes swapped. The FFT-or-matmul
 path is chosen once per op call, from the forward's work, and both
 gradients reuse that choice.
 
-The non-FFT kernels give the bits of their plain formulations. Both pools
+The non-FFT kernels give the bits of their plain formulations. Below the
+FFT threshold a 1-D conv forms every kernel tap's product in one stacked
+matmul over a strided window view of its input (the im2col idea of
+Chellapilla, Puri & Simard 2006, kept per tap), and adds the products in
+tap order from zeros, as a loop of one matmul per tap did. Both pools
 keep a running maximum over the window's strided tap views, taken in
 row-major order, with `argmax`'s rule: the first maximum wins, and a NaN
-beats any number, the first NaN winning. Their gradients and `unpool1d`
-scatter by `np.bincount`, which adds onto zeros in index order, as
-`np.add.at` does. With one input channel, `conv2d_valid` forms each tap's
-product by broadcasting: each entry of a (C_out, 1) @ (1, P) product is
-one rounded multiply anyway. With more channels it keeps one matmul per
-tap, whose summation order a rewrite would change.
+beats any number, the first NaN winning. Which tap won is found only when
+something reads it: a pool's backward, or `PoolIndices.indices`. Their
+gradients and `unpool1d` scatter by `np.bincount`, which adds onto zeros
+in index order, as `np.add.at` does. With one input channel,
+`conv2d_valid` forms each tap's product by broadcasting: each entry of a
+(C_out, 1) @ (1, P) product is one rounded multiply anyway. With more
+channels it keeps one matmul per tap, whose summation order a rewrite
+would change.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, CorruptionError, GraphError, ShapeError
 
@@ -200,19 +206,31 @@ def _toposort(root: Tensor) -> list:
     return order
 
 
-@dataclass(frozen=True)
 class PoolIndices:
-    """Per-output-element source position along the pooled length axis."""
+    """Per-output-element source position along the pooled length axis.
 
-    indices: np.ndarray  # int64, same shape as the pooled output
-    src_len: int
+    `indices` (int64, shaped like the pooled output) may be passed as a
+    function of no arguments instead; it is called on the first read.
+    """
+
+    __slots__ = ("_indices", "src_len")
+
+    def __init__(self, indices, src_len: int):
+        self._indices = indices
+        self.src_len = src_len
+
+    @property
+    def indices(self) -> np.ndarray:
+        if callable(self._indices):
+            self._indices = self._indices()
+        return self._indices
 
 
 # --- convolutions ---------------------------------------------------------
 
 
 # Work threshold above which stride-1 1D convolutions go through the FFT
-# path; below it the per-tap matmul loop has less overhead.
+# path; below it one stacked matmul over the kernel taps is faster.
 _FFT_WORK_THRESHOLD = 50_000
 
 
@@ -252,6 +270,24 @@ def _conv_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.irfft(a_f[:, None, :] * b_f[None, :, :], n)
 
 
+def _windows(a: np.ndarray, width: int, count: int, stride: int) -> np.ndarray:
+    """Read-only (width, rows, count) view of a 2-D `a`: [k, c, t] is a[c, k + t * stride]."""
+    s0, s1 = a.strides
+    return as_strided(a, (width, a.shape[0], count), (s1, s0, s1 * stride), writeable=False)
+
+
+def _tap_sum(taps: np.ndarray) -> np.ndarray:
+    """zeros + taps[0] + taps[1] + ..., added in tap order as a loop of `out += tap` adds."""
+    if math.prod(taps.shape[1:]) == 1:
+        # With one element per tap, np.add.reduce would sum the now contiguous
+        # tap axis pairwise; a scan adds in order.
+        zeros = np.zeros((1,) + taps.shape[1:])
+        return np.add.accumulate(np.concatenate((zeros, taps)), axis=0)[-1]
+    # Over a leading axis of multi-element slices, np.add.reduce adds one
+    # slice after another into the running sum.
+    return np.add.reduce(taps, axis=0, initial=0.0)
+
+
 def _correlate(
     a: np.ndarray, kernels: Tensor, full: bool, swap: bool, out_len: int, stride: int,
     use_fft: bool,
@@ -261,7 +297,8 @@ def _correlate(
     valid: out[o, t] = sum over c, k of w[o, c, k] * a[c, t * stride + k];
     full:  out[o, t * stride + k] += w[o, c, k] * a[c, t] for every c, k.
     By FFT against the memoized kernel spectrum (stride 1 only), or by one
-    matmul per kernel tap over a strided slice.
+    stacked matmul of every kernel tap with a strided window view of `a`,
+    whose per-tap products are then added in tap order.
     """
     w = kernels.data
     k_width = w.shape[2]
@@ -272,15 +309,19 @@ def _correlate(
         b_f = _kernel_spectrum(kernels, view or "id", n)
         out = np.fft.irfft(np.einsum("jif,if->jf", b_f, a_f), n)
         return out if full else out[:, k_width - 1 : k_width - 1 + out_len]
-    out = np.zeros((w.shape[1] if swap else w.shape[0], out_len))
-    span = ((a.shape[1] if full else out_len) - 1) * stride + 1
-    for k in range(k_width):
-        w_k = w[:, :, k].T if swap else w[:, :, k]
-        if full:
-            out[:, k : k + span : stride] += w_k @ a
-        else:
-            out += w_k @ a[:, k : k + span : stride]
-    return out
+    # w_taps[k] is the (out, in) matrix of tap k. Each stacked product has
+    # the operand strides, so the matmul kernel and the bits, of the per-tap
+    # product `w[:, :, k] @ a[...]`.
+    w_taps = w.transpose(2, 1, 0) if swap else w.transpose(2, 0, 1)
+    if not full:
+        return _tap_sum(np.matmul(w_taps, _windows(a, k_width, out_len, stride)))
+    # Tap k's product lands at k + t * stride. Adding +0.0 where it does not
+    # land keeps every sum's bits: a sum begun at +0.0 is never -0.0.
+    products = np.matmul(w_taps, a)
+    placed = np.zeros(products.shape[:2] + (out_len,))
+    s0, s1, s2 = placed.strides
+    as_strided(placed, products.shape, (s0 + s2, s1, s2 * stride))[...] = products
+    return _tap_sum(placed)
 
 
 def _conv1d(x: Tensor, kernels: Tensor, stride: int, full: bool) -> Tensor:
@@ -322,13 +363,13 @@ def _conv1d(x: Tensor, kernels: Tensor, stride: int, full: bool) -> Tensor:
         elif use_fft:
             gw = _conv_pairs(g[:, ::-1], xd)[:, :, out_len - 1 : out_len - 1 + k_width]
         else:
-            gw = np.empty_like(w)
-            span = (out_len - 1) * stride + 1
-            for k in range(k_width):
-                if full:
-                    gw[:, :, k] = g[:, k : k + length] @ xd.T
-                else:
-                    gw[:, :, k] = g @ xd[:, k : k + span : stride].T
+            # Tap k is g[:, k : k + length] @ xd.T (full), or g times the
+            # transpose of xd's k-th window (valid): all in one stacked matmul.
+            if full:
+                gw_taps = np.matmul(_windows(g, k_width, length, 1), xd.T)
+            else:
+                gw_taps = np.matmul(g, _windows(xd, k_width, out_len, stride).transpose(0, 2, 1))
+            gw = np.ascontiguousarray(gw_taps.transpose(1, 2, 0))
         _accumulate(kernels, gw)
         _accumulate(x, _correlate(g, kernels, not full, True, length, stride, use_fft))
 
@@ -414,23 +455,39 @@ def conv2d_valid(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
 # --- pooling ---------------------------------------------------------------
 
 
-def _window_max(taps: dict) -> tuple:
-    """Running maximum over equally shaped tap views, keyed by their offsets.
+_NEG_ZERO_BITS = np.float64(-0.0).view(np.int64)
 
-    Returns the maxima and, for each, the offset of the tap that won. The
-    rule is `argmax`'s: a tap replaces the running maximum only when it is
-    strictly greater, so ties go to the first tap, and a NaN beats any
-    number, the first NaN winning.
+
+def _window_max(x: np.ndarray, taps: dict) -> np.ndarray:
+    """Running maximum over equally shaped tap views of `x`, in tap order.
+
+    The rule is `argmax`'s: ties go to the first tap, and a NaN beats any
+    number, the first NaN winning with its payload. `np.maximum(best, v)`
+    follows it except on a 0.0, -0.0 tie, where it may return either zero;
+    so if `x` holds a -0.0, each window whose maximum is zero takes its
+    first zero tap. Which tap won is left to `_winner`.
     """
-    (first, best), *rest = taps.items()
-    best = best.copy()
-    arg = np.full(best.shape, first, dtype=np.int64)
-    for offset, v in rest:
-        take = ~(v <= best)  # greater, or either one is NaN
-        take &= best == best  # a NaN already held is kept
-        best = np.where(take, v, best)
-        arg = np.where(take, offset, arg)
-    return best, arg
+    taps = list(taps.values())
+    best = taps[0].copy()
+    for v in taps[1:]:
+        np.maximum(best, v, out=best)
+    if x.view(np.int64).min() == _NEG_ZERO_BITS:
+        zero = best == 0
+        for v in reversed(taps):
+            np.copyto(best, v, where=zero & (v == 0))
+    return best
+
+
+def _winner(taps: dict, best: np.ndarray) -> np.ndarray:
+    """For each maximum from `_window_max`, the index of the first tap whose bits equal it."""
+    bits = best.view(np.uint64)
+    views = list(taps.values())
+    missed = views[0].view(np.uint64) != bits
+    first = missed.astype(np.int64)  # counts the leading taps that missed
+    for v in views[1:-1]:
+        missed &= v.view(np.uint64) != bits
+        first += missed
+    return first
 
 
 def _scatter_add(flat: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray:
@@ -438,11 +495,21 @@ def _scatter_add(flat: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarr
     return np.bincount(flat.ravel(), values.ravel(), math.prod(shape)).reshape(shape)
 
 
+def _pool_source(x: Tensor) -> np.ndarray:
+    """What a pool of `x` reads, now and when its backward finds the winners.
+
+    A leaf's values may be written in place before then (an optimizer
+    step, a finite-difference probe), so a leaf is pooled from a copy.
+    """
+    return x.data if x._parents else x.data.copy()
+
+
 def maxpool1d(x: Tensor, window: int, stride: int) -> tuple:
     """Windowed maximum along the length axis; ties go to the lowest index.
 
     Returns the pooled tensor and the argmax positions needed to undo the
-    pooling with `unpool1d`.
+    pooling with `unpool1d`. The positions are found on first read, by the
+    backward pass or by `PoolIndices.indices`.
     """
     x = as_tensor(x)
     if x.data.ndim != 2:
@@ -453,12 +520,13 @@ def maxpool1d(x: Tensor, window: int, stride: int) -> tuple:
             f"maxpool1d: input length (axis 1) = {length} < window {window}"
         )
     span = (length - window) // stride * stride + 1
-    out_data, arg = _window_max({k: x.data[:, k : k + span : stride] for k in range(window)})
-    src = arg + np.arange(0, span, stride)
-    indices = PoolIndices(indices=src, src_len=length)
+    xd = _pool_source(x)
+    taps = {k: xd[:, k : k + span : stride] for k in range(window)}
+    out_data = _window_max(xd, taps)
+    indices = PoolIndices(lambda: _winner(taps, out_data) + np.arange(0, span, stride), length)
 
     def backprop(g):
-        flat = src + length * np.arange(c)[:, None]
+        flat = indices.indices + length * np.arange(c)[:, None]
         _accumulate(x, _scatter_add(flat, g, x.data.shape))
 
     return _node(out_data, (x,), backprop), indices
@@ -467,7 +535,8 @@ def maxpool1d(x: Tensor, window: int, stride: int) -> tuple:
 def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     """2D windowed maximum over (H, W); no unpooling counterpart.
 
-    Ties go to the first position of the window in row-major order.
+    Ties go to the first position of the window in row-major order. The
+    positions are found only by the backward pass.
     """
     x = as_tensor(x)
     if x.data.ndim != 3:
@@ -477,15 +546,18 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
         raise ShapeError(f"maxpool2d: input {h}x{w} smaller than window {window}")
     span_h = (h - window) // stride * stride + 1
     span_w = (w - window) // stride * stride + 1
-    out_data, arg = _window_max({
-        a * w + b: x.data[:, a : a + span_h : stride, b : b + span_w : stride]
+    xd = _pool_source(x)
+    taps = {
+        a * w + b: xd[:, a : a + span_h : stride, b : b + span_w : stride]
         for a in range(window)
         for b in range(window)
-    })
+    }
+    out_data = _window_max(xd, taps)
 
     def backprop(g):
         corner = np.arange(c)[:, None, None] * h + np.arange(0, span_h, stride)[:, None]
-        flat = arg + (corner * w + np.arange(0, span_w, stride))
+        offsets = np.take(list(taps), _winner(taps, out_data))
+        flat = offsets + (corner * w + np.arange(0, span_w, stride))
         _accumulate(x, _scatter_add(flat, g, x.data.shape))
 
     return _node(out_data, (x,), backprop)

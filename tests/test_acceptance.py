@@ -32,6 +32,9 @@ from bioaffect import tensor as T
 
 from oracles import conv1d_direct, conv1d_full_direct, conv2d_direct
 
+# Every criterion is marked slow, so `pytest -m "not slow"` is a quick loop.
+pytestmark = pytest.mark.slow
+
 # Frozen acceptance run: deterministic corpus and training seed.
 ACCEPT_SEED = 31
 

@@ -355,6 +355,24 @@ class TestMalformedInputs:
         assert f"{spec}: " in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("minutes", ["0", "-2", "nan"])
+    def test_bad_window_minutes(self, tmp_path, capsys, minutes):
+        from bioaffect.bmmn import BmmnModel, save_model
+
+        model_dir = tmp_path / "model"
+        save_model(BmmnModel.build_toy("bmmn"), model_dir)
+        spec = tmp_path / "therapy.json"
+        spec.write_text(json.dumps({"kind": "therapy", "minutes": 1.0, "fps": 0.2}))
+        assert dispatch(["synth", "--spec", str(spec), "--out", str(tmp_path / "t")]) == 0
+        code = dispatch(
+            ["assess", "--model", str(model_dir),
+             "--session", str(tmp_path / "t" / "patient00_therapy"),
+             "--window-minutes", minutes, "--out", str(tmp_path / "assessment")]
+        )
+        assert code == 1
+        assert "window_minutes" in capsys.readouterr().err
+        assert not Path(str(tmp_path / "assessment") + ".json").exists()
+
     @pytest.mark.parametrize("damage, message", [
         (lambda text: text[: len(text) // 2], "invalid JSON"),
         (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "bae_arch"}),

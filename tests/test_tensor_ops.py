@@ -371,12 +371,13 @@ class TestMaxPool2d:
         np.testing.assert_array_equal(xt.grad, routed)
 
 
-# --- pools, unpool scatter and conv2d, pinned bit for bit ----------------------
+# --- convs, pools and unpool scatter, pinned bit for bit -----------------------
 #
 # The references are the formulations the kernels replaced: each pool as
 # sliding_window_view + argmax + take_along_axis, each scatter as np.add.at,
-# and conv2d as one GEMM per kernel tap. Outputs, pool indices and gradients
-# must agree in every bit, NaN payloads included.
+# and conv2d and the sub-threshold 1-D convs as one GEMM per kernel tap.
+# Outputs, pool indices and gradients must agree in every bit, signed zeros
+# and NaN payloads included (the 1-D convs with one payload; see _conv_input).
 
 
 def _maxpool1d_reference(x, window, stride):
@@ -426,6 +427,35 @@ def _conv2d_reference(x, w, stride, g):
     return out.reshape(c_out, nh, nw), gw, gx
 
 
+def _correlate_reference(a, w, full, swap, out_len, stride):
+    """One GEMM per tap, the products added onto zeros in tap order."""
+    out = np.zeros((w.shape[1] if swap else w.shape[0], out_len))
+    span = ((a.shape[1] if full else out_len) - 1) * stride + 1
+    for k in range(w.shape[2]):
+        w_k = w[:, :, k].T if swap else w[:, :, k]
+        if full:
+            out[:, k : k + span : stride] += w_k @ a
+        else:
+            out += w_k @ a[:, k : k + span : stride]
+    return out
+
+
+def _conv1d_reference(x, w, stride, full, g):
+    """Forward, kernel gradient and input gradient of upstream `g`, one GEMM per tap."""
+    length, k_width = x.shape[1], w.shape[2]
+    out_len = length + k_width - 1 if full else (length - k_width) // stride + 1
+    out = _correlate_reference(x, w, full, False, out_len, stride)
+    gw = np.empty_like(w)
+    span = (out_len - 1) * stride + 1
+    for k in range(k_width):
+        if full:
+            gw[:, :, k] = g[:, k : k + length] @ x.T
+        else:
+            gw[:, :, k] = g @ x[:, k : k + span : stride].T
+    gx = _correlate_reference(g, w, not full, True, length, stride)
+    return out, gw, gx
+
+
 def _assert_same_bits(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
@@ -450,6 +480,8 @@ def _pool_input(kind, shape, seed):
         return np.full(shape, 0.25)
     if kind == "coarse":  # ties inside most windows
         return rng.integers(-1, 2, size=shape).astype(np.float64)
+    if kind == "signed_zeros":  # 0.0 and -0.0 tie in most windows
+        return rng.choice([0.0, -0.0, -0.0, -1.0], size=shape)
     x = rng.normal(size=shape)
     if kind == "nans":
         one, first, second = _NAN_AT[len(shape)]
@@ -458,7 +490,7 @@ def _pool_input(kind, shape, seed):
     return x
 
 
-_KINDS = ["normal", "equal", "coarse", "nans"]
+_KINDS = ["normal", "equal", "coarse", "nans", "signed_zeros"]
 
 # Production shapes at window 2, stride 2: bio (4, 801), (2, 301), (2, 101),
 # (2, 26); BAE encoder (16, 801), (8, 301), (4, 101). Then overlapping and
@@ -473,6 +505,39 @@ _POOL1D_CASES = [
 _POOL2D_CASES = [
     ((8, 62, 62), 2, 2), ((16, 29, 29), 2, 2), ((32, 12, 12), 2, 2),
     ((8, 29, 29), 3, 2), ((2, 9, 7), 3, 1),
+]
+
+
+def _conv_input(kind, shape, rng):
+    v = rng.normal(size=shape)
+    if kind == "zeros":
+        v[..., ::2] = 0.0
+    elif kind == "signed_zeros":  # every other entry -0.0: products and sums of zeros
+        v[..., ::2] = -0.0
+        v[..., 1::4] = 0.0
+    elif kind == "nans":
+        # One payload: where two NaNs meet in a sum, numpy's add keeps the
+        # payload of one operand or the other by the element's place in its
+        # vector loop, so two payloads would pin that loop, not these kernels.
+        v.flat[[1 % v.size, (v.size - 2) % v.size]] = np.nan
+    return v
+
+
+# Every shape here is below the FFT threshold, so it takes the stacked
+# matmul path: the production bio conv3 and conv4, BAE encoder conv3 and
+# decoder conv4 (a full conv); strides 2 and 3; width 1; length == width;
+# and one-element outputs (one output channel, one position), where the
+# tap sum must not turn pairwise (K >= 8).
+_CONV1D_CASES = [
+    ((2, 150), (2, 2, 50), 1, False), ((2, 50), (2, 2, 25), 1, False),
+    ((8, 150), (4, 8, 50), 1, False), ((4, 101), (8, 4, 50), 1, True),
+    ((2, 150), (2, 2, 50), 2, False), ((8, 150), (4, 8, 50), 3, False),
+    ((2, 17), (3, 2, 5), 2, False), ((3, 12), (2, 3, 5), 1, True),
+    ((3, 10), (2, 3, 1), 1, False), ((3, 10), (2, 3, 1), 1, True),
+    ((1, 10), (2, 1, 1), 1, False), ((1, 10), (2, 1, 1), 1, True),
+    ((2, 7), (3, 2, 7), 1, False), ((2, 9), (1, 2, 9), 1, False),
+    ((4, 30), (1, 4, 30), 1, False), ((1, 1), (1, 1, 1), 1, False),
+    ((1, 1), (1, 1, 1), 1, True),
 ]
 
 
@@ -505,7 +570,7 @@ class TestKernelsMatchReplacedFormulation:
         out._backprop()
         _assert_same_bits(xt.grad, _add_at_reference(shape, ref_index, g))
 
-    @pytest.mark.parametrize("kind", ["normal", "equal", "coarse"])
+    @pytest.mark.parametrize("kind", _KINDS)
     @pytest.mark.parametrize("shape, window, stride", [
         ((16, 801), 2, 2), ((8, 301), 2, 2), ((4, 101), 2, 2),
         ((4, 101), 3, 1), ((2, 26), 3, 2),
@@ -542,3 +607,43 @@ class TestKernelsMatchReplacedFormulation:
         out._backprop()
         _assert_same_bits(wt.grad, np.zeros(w.shape) + ref_gw)
         _assert_same_bits(xt.grad, np.zeros(x.shape) + ref_gx)
+
+    @pytest.mark.parametrize("kind", ["normal", "zeros", "signed_zeros", "nans"])
+    @pytest.mark.parametrize("x_shape, w_shape, stride, full", _CONV1D_CASES)
+    def test_conv1d(self, x_shape, w_shape, stride, full, kind):
+        rng = np.random.default_rng(x_shape[1] + w_shape[2] + stride)
+        x, w = _conv_input(kind, x_shape, rng), _conv_input(kind, w_shape, rng)
+        xt, wt = Tensor(x), Tensor(w)
+        out = (T.conv1d_full if full else T.conv1d_valid)(xt, wt, stride=stride)
+        g = _conv_input(kind, out.shape, rng)
+        ref_out, ref_gw, ref_gx = _conv1d_reference(x, w, stride, full, g)
+        _assert_same_bits(out.data, ref_out)
+        out.grad = g
+        out._backprop()
+        _assert_same_bits(wt.grad, np.zeros(w.shape) + ref_gw)
+        _assert_same_bits(xt.grad, np.zeros(x.shape) + ref_gx)
+
+    @pytest.mark.parametrize("op", ["maxpool1d", "maxpool2d", "unpool1d"])
+    def test_leaf_written_after_pooling_keeps_routing(self, op):
+        # gradcheck probes and adam_step write a leaf's values in place; the
+        # pool's winners must be those of the values it pooled.
+        shape = (3, 9, 8) if op == "maxpool2d" else (3, 17)
+        x = np.random.default_rng(7).normal(size=shape)
+        xt = Tensor(x.copy(), requires_grad=True)
+        if op == "maxpool2d":
+            out = T.maxpool2d(xt, 2, 2)
+            _, index = _maxpool2d_reference(x, 2, 2)
+        else:
+            out, idx = T.maxpool1d(xt, 3, 2)
+            _, src = _maxpool1d_reference(x, 3, 2)
+            index = (np.arange(shape[0])[:, None], src)
+        xt.data[...] = -xt.data  # moves every window's maximum
+        if op == "unpool1d":
+            v = np.random.default_rng(8).normal(size=idx.indices.shape)
+            _assert_same_bits(T.unpool1d(Tensor(v), idx, shape[1]).data,
+                              _add_at_reference(shape, index, v))
+            return
+        g = np.random.default_rng(8).normal(size=out.shape)
+        out.grad = g
+        out._backprop()
+        _assert_same_bits(xt.grad, _add_at_reference(shape, index, g))
