@@ -34,9 +34,19 @@ class AdamState:
         self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
 
 
+# Elements per block of `adam_step`; its two scratch buffers hold one block each.
+_ADAM_BLOCK = 8192
+
+
 def adam_step(params: ParamStore, state: AdamState) -> None:
     """One bias-corrected Adam update, in place, over every parameter.
 
+    `m`, `v` and the values are updated one block of each flattened
+    parameter at a time, through two scratch buffers of `_ADAM_BLOCK`
+    elements, so a step allocates no parameter-sized temporary. Each
+    element gets the operations, in the order, of the whole-array formula
+    m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2;
+    p -= lr (m / bc1) / (sqrt(v / bc2) + eps).
     Each parameter's memo of kernel spectra is released once its values
     have changed, since none of those spectra can be reused.
     """
@@ -47,17 +57,35 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
             raise GraphError(f"adam_step: state was not built for parameter {name!r}")
     state.step_count += 1
     t_step = state.step_count
-    bc1 = 1.0 - state.beta1**t_step
-    bc2 = 1.0 - state.beta2**t_step
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    bc1 = 1.0 - b1**t_step
+    bc2 = 1.0 - b2**t_step
+    scratch = np.empty(_ADAM_BLOCK)
+    scratch2 = np.empty(_ADAM_BLOCK)
     for name, p in params.items():
-        g = p.grad
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        values = p.data.reshape(-1)
+        grads = p.grad.reshape(-1)
+        ms = state.m[name].reshape(-1)
+        vs = state.v[name].reshape(-1)
+        for start in range(0, values.size, _ADAM_BLOCK):
+            block = slice(start, start + _ADAM_BLOCK)
+            x, g, m, v = values[block], grads[block], ms[block], vs[block]
+            s = scratch[: x.size]
+            s2 = scratch2[: x.size]
+            np.multiply(m, b1, out=m)
+            np.multiply(1.0 - b1, g, out=s)
+            np.add(m, s, out=m)
+            np.multiply(v, b2, out=v)
+            np.multiply(g, g, out=s)
+            np.multiply(1.0 - b2, s, out=s)
+            np.add(v, s, out=v)
+            np.divide(m, bc1, out=s)
+            np.multiply(lr, s, out=s)
+            np.divide(v, bc2, out=s2)
+            np.sqrt(s2, out=s2)
+            np.add(s2, eps, out=s2)
+            np.divide(s, s2, out=s)
+            np.subtract(x, s, out=x)
         p._spectra = None
 
 

@@ -17,7 +17,6 @@ Checkpoint layout (little-endian, versioned):
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 from pathlib import Path
 
@@ -59,7 +58,9 @@ class ParamStore:
 
     A store built over `values` (name -> array, e.g. a loaded checkpoint)
     creates each parameter found there from its array, without a copy and
-    without a grad buffer; `zero_grads` allocates one before training.
+    without a grad buffer. `zero_grads` zeroes each grad buffer in place,
+    so a run keeps one buffer per parameter; a parameter that has none yet
+    gets one.
     """
 
     def __init__(self, rng_seed: int = 0, values: dict | None = None):
@@ -150,26 +151,33 @@ def _checkpoint_chunks(store: ParamStore):
 def load_params(path) -> ParamStore:
     """Read a checkpoint written by `save_params`, into tensors without grad buffers.
 
-    A file cut anywhere, a name that is not UTF-8, or bytes after the last
-    value raise a CorruptionError that names the path, the field and the
-    byte offset.
+    The file is read field by field, and the values straight into one
+    buffer (`BlobReader.floats`) of which the parameters are views, so the
+    peak is about the value bytes. A file cut
+    anywhere, a name that is not UTF-8 or that repeats, or bytes after the
+    last value raise a CorruptionError that names the path, the field and
+    the byte offset.
     """
     path = Path(path)
-    reader = BlobReader(path, path.read_bytes())
-    if reader.take(4, "magic") != _MAGIC:
-        raise CorruptionError(f"{path}: not a parameter checkpoint (bad magic)")
-    version, seed, count = reader.unpack("<IQI", "header")
-    if version != _VERSION:
-        raise CorruptionError(f"{path}: unsupported checkpoint version {version}")
-    metas = []
-    for _ in range(count):
-        name = reader.text("parameter name")
-        (ndim,) = reader.unpack("<B", f"ndim of {name!r}")
-        metas.append((name, reader.unpack(f"<{ndim}I", f"shape of {name!r}")))
-    store = ParamStore(rng_seed=seed)
-    for name, shape in metas:
-        n = math.prod(shape)
-        arr = np.frombuffer(reader.take(8 * n, f"values of {name!r}"), dtype="<f8")
-        store.entries[name] = Tensor(arr.reshape(shape).astype(np.float64))
-    reader.finish("value")
+    with open(path, "rb") as f:
+        reader = BlobReader(path, f)
+        if reader.take(4, "magic") != _MAGIC:
+            raise CorruptionError(f"{path}: not a parameter checkpoint (bad magic)")
+        version, seed, count = reader.unpack("<IQI", "header")
+        if version != _VERSION:
+            raise CorruptionError(f"{path}: unsupported checkpoint version {version}")
+        shapes = {}
+        for _ in range(count):
+            start = reader.offset
+            name = reader.text("parameter name")
+            if name in shapes:
+                raise CorruptionError(
+                    f"{path}: parameter name {name!r} repeated at byte offset {start}"
+                )
+            (ndim,) = reader.unpack("<B", f"ndim of {name!r}")
+            shapes[name] = reader.unpack(f"<{ndim}I", f"shape of {name!r}")
+        store = ParamStore(rng_seed=seed)
+        for name, shape in shapes.items():
+            store.entries[name] = Tensor(reader.floats(shape, f"values of {name!r}"))
+        reader.finish("value")
     return store

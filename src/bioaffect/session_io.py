@@ -329,61 +329,63 @@ def _sample_chunks(samples: list):
 def read_samples(path) -> list:
     """Read a processed-sample file written by `write_samples`.
 
-    A file cut anywhere, an id that is not UTF-8, or bytes after the last
-    sample raise a CorruptionError that names the path and the byte offset.
+    The file is read field by field, and the arrays straight into one
+    buffer (`BlobReader.floats`) of which they are views, so the peak is
+    about the bytes of the arrays returned. A file cut anywhere, an id that
+    is not UTF-8, or bytes after the last sample raise a CorruptionError
+    that names the path and the byte offset.
     """
     path = Path(path)
-    reader = BlobReader(path, path.read_bytes())
-    if reader.take(4, "magic") != _SAMPLES_MAGIC:
-        raise CorruptionError(f"{path}: not a processed-sample file (bad magic)")
-    version, count, seg_len = reader.unpack("<III", "header")
-    if version != _SAMPLES_VERSION:
-        raise CorruptionError(f"{path}: unsupported sample file version {version}")
-    if seg_len != SEGMENT_LEN:
-        raise CorruptionError(
-            f"{path}: segment length {seg_len} != expected {SEGMENT_LEN}"
-        )
-    windows = [(c, f"{c.value} window") for c in (Channel.ECG, Channel.EDA)]
-    samples = []
-    for _ in range(count):
-        subject_id = reader.text("subject id")
-        session_id = reader.text("session id")
-        frame_index, timestamp = reader.unpack("<Id", "frame index and timestamp")
-        # Arrays are read from a slice, not from the file bytes at an offset:
-        # after an odd-length id that view is unaligned, and copying it is ~3x slower.
-        label_vec = np.frombuffer(reader.take(80, "label"), dtype="<f8")
-        label = AffectLabel(
-            valence=label_vec[0],
-            arousal=label_vec[1],
-            liking=label_vec[2],
-            emotions=label_vec[3:10].copy(),
-        )
-        segments = {}
-        for channel, field in windows:
-            window = np.frombuffer(reader.take(8 * seg_len, field), dtype="<f8")
-            segments[channel] = BioSegment(channel, window.copy(), frame_index)
-        kind, payload = reader.unpack("<BI", "face header")
-        if kind == 0:
-            n_values = payload * payload
-        elif kind == 1:
-            n_values = payload
-        else:
+    with open(path, "rb") as f:
+        reader = BlobReader(path, f)
+        if reader.take(4, "magic") != _SAMPLES_MAGIC:
+            raise CorruptionError(f"{path}: not a processed-sample file (bad magic)")
+        version, count, seg_len = reader.unpack("<III", "header")
+        if version != _SAMPLES_VERSION:
+            raise CorruptionError(f"{path}: unsupported sample file version {version}")
+        if seg_len != SEGMENT_LEN:
             raise CorruptionError(
-                f"{path}: unknown face payload kind {kind} at byte offset {reader.offset - 5}"
+                f"{path}: segment length {seg_len} != expected {SEGMENT_LEN}"
             )
-        values = np.frombuffer(reader.take(8 * n_values, "face payload"), dtype="<f8").copy()
-        if kind == 0:
-            face = FrameRecord(timestamp_s=timestamp, image=values.reshape(payload, payload))
-        else:
-            face = FrameRecord(timestamp_s=timestamp, feature_vector=values)
-        samples.append(
-            SyncedSample(
-                segments=segments,
-                face=face,
-                label=label,
-                subject_id=subject_id,
-                session_id=session_id,
+        windows = [(c, f"{c.value} window") for c in (Channel.ECG, Channel.EDA)]
+        samples = []
+        for _ in range(count):
+            subject_id = reader.text("subject id")
+            session_id = reader.text("session id")
+            frame_index, timestamp = reader.unpack("<Id", "frame index and timestamp")
+            label_vec = reader.floats((10,), "label")
+            label = AffectLabel(
+                valence=label_vec[0],
+                arousal=label_vec[1],
+                liking=label_vec[2],
+                emotions=label_vec[3:10],
             )
-        )
-    reader.finish("sample")
+            segments = {}
+            for channel, field in windows:
+                window = reader.floats((seg_len,), field)
+                segments[channel] = BioSegment(channel, window, frame_index)
+            kind, payload = reader.unpack("<BI", "face header")
+            if kind == 0:
+                shape = (payload, payload)
+            elif kind == 1:
+                shape = (payload,)
+            else:
+                raise CorruptionError(
+                    f"{path}: unknown face payload kind {kind} at byte offset {reader.offset - 5}"
+                )
+            values = reader.floats(shape, "face payload")
+            if kind == 0:
+                face = FrameRecord(timestamp_s=timestamp, image=values)
+            else:
+                face = FrameRecord(timestamp_s=timestamp, feature_vector=values)
+            samples.append(
+                SyncedSample(
+                    segments=segments,
+                    face=face,
+                    label=label,
+                    subject_id=subject_id,
+                    session_id=session_id,
+                )
+            )
+        reader.finish("sample")
     return samples

@@ -109,7 +109,11 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
+        """Zero the grad buffer in place, keeping its identity; allocate one if there is none."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        else:
+            self.grad.fill(0.0)
 
     def backward(self) -> None:
         """Propagate d(self)/d(everything) through the recorded graph.
@@ -185,6 +189,22 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad = g + 0.0
     else:
         t.grad += g
+
+
+# Elements of the row block through which `_accumulate_outer` adds a product.
+_OUTER_BLOCK = 8192
+
+
+def _accumulate_outer(t: Tensor, u: np.ndarray, v: np.ndarray) -> None:
+    """`_accumulate(t, np.outer(u, v))` without the full product: the product
+    is formed and added into `t.grad` (zeros if `t` had none; zeros + p has
+    the bits of p + 0.0) one block of rows at a time."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    rows = max(1, _OUTER_BLOCK // max(1, v.size))
+    for start in range(0, u.size, rows):
+        grad = t.grad[start : start + rows]
+        grad += u[start : start + rows, None] * v
 
 
 def _toposort(root: Tensor) -> list:
@@ -555,9 +575,9 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     out_data = _window_max(xd, taps)
 
     def backprop(g):
-        corner = np.arange(c)[:, None, None] * h + np.arange(0, span_h, stride)[:, None]
-        offsets = np.take(list(taps), _winner(taps, out_data))
-        flat = offsets + (corner * w + np.arange(0, span_w, stride))
+        # The winning tap's offset, plus the flat index of its window's first element.
+        flat = np.take(list(taps), _winner(taps, out_data))
+        flat += np.arange(c * h * w).reshape(c, h, w)[:, :span_h:stride, :span_w:stride]
         _accumulate(x, _scatter_add(flat, g, x.data.shape))
 
     return _node(out_data, (x,), backprop)
@@ -617,7 +637,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     def backprop(g):
         _accumulate(x, weight.data.T @ g)
-        _accumulate(weight, np.outer(g, x.data))
+        _accumulate_outer(weight, g, x.data)
         _accumulate(bias, g)
 
     return _node(weight.data @ x.data + bias.data, (x, weight, bias), backprop)
@@ -644,12 +664,16 @@ def add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     """Clamp negatives to zero; subgradient at exactly 0 is 0."""
     x = as_tensor(x)
-    mask = x.data > 0
+    # fmax(x, 0) is x for x > 0 and a zero otherwise (0.0 for a NaN, either
+    # zero for -0.0); `+= 0.0` turns -0.0 into 0.0. These are the bits of
+    # np.where(x > 0, x, 0.0), without a branch on the data.
+    out_data = np.fmax(x.data, 0.0)
+    out_data += 0.0
 
     def backprop(g):
-        _accumulate(x, g * mask)
+        _accumulate(x, g * (out_data > 0))
 
-    return _node(np.where(mask, x.data, 0.0), (x,), backprop)
+    return _node(out_data, (x,), backprop)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

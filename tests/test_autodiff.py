@@ -10,6 +10,8 @@ from bioaffect.optim import AdamState, adam_step
 from bioaffect.params import ParamStore, load_params, save_params, uniform_init
 from bioaffect.tensor import Tensor
 
+from test_files import record_opens
+
 
 class TestBackward:
     def test_hand_derivative_scalar_regression(self):
@@ -304,3 +306,136 @@ class TestCheckpoint:
             CorruptionError, match=r"parameter name is not UTF-8 at byte offset 23"
         ):
             load_params(path)
+
+
+class TestGradBuffers:
+    def test_zero_grad_keeps_the_buffer(self):
+        p = Tensor(np.ones(4), requires_grad=True)
+        buffer = p.grad
+        T.mse_loss(p, Tensor(np.zeros(4))).backward()
+        assert p.grad is buffer and (buffer != 0).all()
+        p.zero_grad()
+        assert p.grad is buffer
+        assert np.array_equal(buffer.view(np.uint64), np.zeros(4).view(np.uint64))
+
+    def test_zero_grads_allocates_only_a_missing_buffer(self):
+        store = ParamStore(rng_seed=2)
+        a = store.create("a", (3,))
+        b = store.create("b", (2, 2))
+        b.grad = None  # as for a parameter loaded from a checkpoint
+        kept = a.grad
+        store.zero_grads()
+        assert a.grad is kept
+        assert b.grad is not None and b.grad.shape == (2, 2) and not b.grad.any()
+        kept_b = b.grad
+        store.zero_grads()
+        assert b.grad is kept_b
+
+
+# g and x entries whose products are zeros of both signs, infinities and NaNs.
+_OUTER_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e300])
+
+
+class TestLinearWeightGradient:
+    """The weight gradient is added one block of rows at a time; the bits
+    are those of `grad + np.outer(g, x)`, or of `np.outer(g, x) + 0.0`."""
+
+    @pytest.mark.parametrize("shape", [(3, 20), (256, 1152), (10, 4308), (1, 9000)])
+    @pytest.mark.parametrize("held", ["none", "zeros", "values"])
+    def test_bits_of_the_outer_product(self, shape, held):
+        rng = np.random.default_rng(shape[1])
+        g = rng.normal(size=shape[0])
+        x = rng.normal(size=shape[1])
+        g[: min(7, shape[0])] = _OUTER_SPECIALS[: min(7, shape[0])]
+        x[:7] = _OUTER_SPECIALS
+        w = Tensor(rng.normal(size=shape))
+        if held == "zeros":
+            w.grad = -np.zeros(shape)  # -0.0 + -0.0 keeps its sign
+        elif held == "values":
+            w.grad = rng.normal(size=shape)
+        start = None if w.grad is None else w.grad.copy()
+        out = T.linear(Tensor(x), w, Tensor(np.zeros(shape[0])))
+        out.grad = g
+        with np.errstate(invalid="ignore", over="ignore"):
+            out._backprop()
+            want = np.outer(g, x) + 0.0 if start is None else start + np.outer(g, x)
+        assert np.array_equal(w.grad.view(np.uint64), want.view(np.uint64))
+
+    def test_backward_allocates_no_outer_product(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(4)
+        w = Tensor(rng.normal(size=(256, 1152)), requires_grad=True)
+        out = T.linear(Tensor(rng.normal(size=1152)), w, Tensor(np.zeros(256)))
+        out.grad = rng.normal(size=256)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out._backprop()
+            extra = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert extra < w.data.nbytes / 8, extra
+
+
+class TestCheckpointReading:
+    def test_repeated_name_names_it_and_its_offset(self, tmp_path):
+        store = ParamStore(rng_seed=5)
+        store.create("a", (2,))
+        store.create("b", (3,))
+        path = tmp_path / "params.ckpt"
+        save_params(store, path)
+        blob = bytearray(path.read_bytes())
+        second = 20 + (2 + 1 + 1 + 4)  # header, then the whole first entry
+        assert blob[second + 2 : second + 3] == b"b"
+        blob[second + 2] = ord("a")  # now "a" (2,) and then "a" (3,)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(
+            CorruptionError,
+            match=rf"params\.ckpt: parameter name 'a' repeated at byte offset {second}",
+        ):
+            load_params(path)
+
+    def test_peak_is_about_the_value_bytes(self, tmp_path):
+        import tracemalloc
+
+        store = ParamStore(rng_seed=6)
+        store.create("spatial.fc.w", (256, 1152))
+        store.create("spatial.fc.b", (256,), init="zeros")
+        store.create("head.fc.w", (10, 300))
+        path = tmp_path / "params.ckpt"
+        save_params(store, path)
+        value_bytes = 8 * store.n_values()
+        tracemalloc.start()
+        try:
+            loaded = load_params(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * value_bytes, peak / value_bytes
+        for name, t in store.items():
+            assert np.array_equal(loaded[name].data.view(np.uint64), t.data.view(np.uint64))
+            assert loaded[name].data.flags.c_contiguous and loaded[name].data.dtype == np.float64
+
+    def test_file_is_closed_on_success_and_on_every_error(self, tmp_path, monkeypatch):
+        from bioaffect import params
+
+        store = ParamStore(rng_seed=5)
+        store.create("a", (2, 3))
+        store.create("b", (4,), init="zeros")
+        path = tmp_path / "params.ckpt"
+        save_params(store, path)
+        blob = path.read_bytes()
+        second_name = 20 + (2 + 1 + 1 + 8) + 2
+        bad = [blob[:cut] for cut in range(len(blob))]
+        bad += [blob + b"\x00", b"NOPE" + blob[4:], blob[:4] + b"\x02" + blob[5:]]
+        bad.append(blob[:22] + b"\xff" + blob[23:])  # a name that is not UTF-8
+        bad.append(blob[:second_name] + b"a" + blob[second_name + 1 :])  # "a" twice
+        files = record_opens(monkeypatch, params)
+        load_params(path)
+        for body in bad:
+            path.write_bytes(body)
+            with pytest.raises(CorruptionError):
+                load_params(path)
+        assert len(files) == 1 + len(bad)
+        assert all(f.closed for f in files)

@@ -394,6 +394,32 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert f"{meta}:" in err and message in err
 
+    def test_checkpoint_with_a_repeated_name_exits_1(self, processed, tmp_path, capsys):
+        import struct
+
+        from bioaffect.bmmn import BmmnModel, save_model
+
+        _, samples = processed
+        model_dir = tmp_path / "model"
+        save_model(BmmnModel.build_toy("bmmn"), model_dir)
+        ckpt = model_dir / "params.ckpt"
+        blob = bytearray(ckpt.read_bytes())
+        (n1,) = struct.unpack_from("<H", blob, 20)
+        ndim1 = blob[22 + n1]
+        second = 22 + n1 + 1 + 4 * ndim1
+        (n2,) = struct.unpack_from("<H", blob, second)
+        assert n2 == n1  # e.g. "....conv1.w" then "....conv1.b"
+        first_name = bytes(blob[22 : 22 + n1])
+        blob[second + 2 : second + 2 + n1] = first_name
+        ckpt.write_bytes(bytes(blob))
+        code = dispatch(
+            ["eval", "--model", str(model_dir), "--data", str(samples),
+             "--out", str(tmp_path / "report")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"parameter name {first_name.decode()!r} repeated at byte offset {second}" in err
+
 
 class TestGradcheckCommand:
     def test_single_op_passes(self, capsys):

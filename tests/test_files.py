@@ -47,6 +47,21 @@ def cut_after(n_chunks):
     return write_file
 
 
+def record_opens(monkeypatch, module) -> list:
+    """Record every file that `module` opens through the builtin `open`."""
+    import builtins
+
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        f = builtins.open(*args, **kwargs)
+        opened.append(f)
+        return f
+
+    monkeypatch.setattr(module, "open", recording_open, raising=False)
+    return opened
+
+
 def _sample(face_shape):
     rng = np.random.default_rng(0)
     segments = {c: BioSegment(c, rng.uniform(0, 1, SEGMENT_LEN), 0)

@@ -109,3 +109,79 @@ def test_fit_stops_at_a_non_finite_gradient_before_the_step():
     ):
         fit(store, N_ITEMS, EPOCHS, BATCH, LR, np.random.default_rng(9), item_loss)
     assert np.isfinite(store["w"].data).all()  # the step with an infinite gradient was not taken
+
+
+# --- blockwise Adam -----------------------------------------------------------
+
+
+def _whole_array_adam(values, grads, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The Adam update written over whole arrays, with full-size temporaries."""
+    bc1 = 1.0 - beta1**step
+    bc2 = 1.0 - beta2**step
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    v *= beta2
+    v += (1.0 - beta2) * (grads * grads)
+    values -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+# Zeros of both signs, the smallest subnormal, and magnitudes whose squares
+# underflow, stay finite or overflow.
+_SPECIAL_GRADS = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-300, 1e150, -1e154, 1e200])
+
+
+def _adam_sizes():
+    from bioaffect.optim import _ADAM_BLOCK
+
+    return {"one": (1,), "below": (_ADAM_BLOCK - 1,), "block": (_ADAM_BLOCK,),
+            "above": (_ADAM_BLOCK + 1,), "spatial_fc": (256, 1152)}
+
+
+def test_blockwise_adam_matches_the_whole_array_formula():
+    store = ParamStore(rng_seed=8)
+    for name, shape in _adam_sizes().items():
+        store.create(name, shape)
+    reference = {name: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data))
+                 for name, t in store.items()}
+    state = AdamState(store, lr=1e-3)
+    rng = np.random.default_rng(12)
+    # g * g overflows to inf for the largest magnitudes, on both sides.
+    with np.errstate(over="ignore"):
+        _run_adam_against_reference(store, state, reference, rng)
+
+
+def _run_adam_against_reference(store, state, reference, rng):
+    for step in range(1, 4):
+        store.zero_grads()
+        for name, t in store.items():
+            g = t.grad.reshape(-1)
+            g[...] = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=g.size)
+            g[rng.integers(0, g.size, size=min(g.size, 50))] = rng.choice(_SPECIAL_GRADS, min(g.size, 50))
+            values, m, v = reference[name]
+            _whole_array_adam(values, t.grad, m, v, step, lr=1e-3)
+        adam_step(store, state)
+        for name, t in store.items():
+            values, m, v = reference[name]
+            for got, want in ((t.data, values), (state.m[name], m), (state.v[name], v)):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (name, step)
+
+
+def test_adam_step_allocates_no_parameter_sized_temporary():
+    import tracemalloc
+
+    from bioaffect.optim import _ADAM_BLOCK
+
+    store = ParamStore(rng_seed=9)
+    p = store.create("spatial.fc.w", (256, 1152))
+    store.zero_grads()
+    p.grad[...] = np.random.default_rng(3).normal(size=p.grad.shape)
+    state = AdamState(store, lr=1e-3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        adam_step(store, state)
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    scratch_bytes = 2 * 8 * _ADAM_BLOCK
+    assert extra < 2 * scratch_bytes, (extra, p.data.nbytes)

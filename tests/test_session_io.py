@@ -31,6 +31,8 @@ from bioaffect.signals import (
     synchronize,
 )
 
+from test_files import record_opens
+
 
 def write_minimal_session(root, session="p00_t00", subject="p00", n_samples=4000,
                           hz=128.0, n_frames=3, valence=5.0):
@@ -311,3 +313,88 @@ class TestProcessedContainer:
             CorruptionError, match=r"samples\.bin: subject id is not UTF-8 at byte offset 18"
         ):
             read_samples(path)
+
+
+class TestStreamingRead:
+    def _samples(self, n=20, side=64):
+        samples = []
+        for i in range(n):
+            s = _sample(i)
+            rng = np.random.default_rng(i)
+            s.face.image = rng.uniform(0, 1, (side, side))
+            samples.append(s)
+        return samples
+
+    def test_peak_is_about_the_bytes_of_the_arrays(self, tmp_path):
+        import tracemalloc
+
+        path = tmp_path / "samples.bin"
+        samples = self._samples()
+        write_samples(path, samples)
+        tracemalloc.start()
+        try:
+            back = read_samples(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        array_bytes = sum(
+            8 * (2 * SEGMENT_LEN + s.face.image.size + 10) for s in back
+        )
+        assert peak <= 1.25 * array_bytes, peak / array_bytes
+        for a, b in zip(samples, back):
+            assert np.array_equal(a.face.image.view(np.uint64), b.face.image.view(np.uint64))
+            for c in (Channel.ECG, Channel.EDA):
+                assert np.array_equal(
+                    a.segments[c].window.view(np.uint64), b.segments[c].window.view(np.uint64)
+                )
+            assert np.array_equal(
+                a.label.emotions.view(np.uint64), b.label.emotions.view(np.uint64)
+            )
+
+    def test_arrays_are_writable_contiguous_float64(self, tmp_path):
+        path = tmp_path / "samples.bin"
+        write_samples(path, [_sample(0), _sample(1, with_features=True)])
+        back = read_samples(path)
+        arrays = [back[0].face.image, back[1].face.feature_vector, back[0].label.emotions]
+        arrays += [s.segments[c].window for s in back for c in (Channel.ECG, Channel.EDA)]
+        for arr in arrays:
+            assert arr.dtype == np.float64 and arr.flags.writeable and arr.flags.c_contiguous
+        assert type(back[0].label.valence) is float
+
+    def test_file_is_closed_on_success_and_on_every_error(self, tmp_path, monkeypatch):
+        from bioaffect import session_io
+
+        path = tmp_path / "samples.bin"
+        write_samples(path, [_sample(0), _sample(1, with_features=True)])
+        blob = path.read_bytes()
+        face_at = 16 + (2 + 3) + (2 + 7) + 12 + 80 + 2 * 8 * SEGMENT_LEN
+        bad = [blob[:cut] for cut in range(0, len(blob), 37)]
+        bad += [blob + b"\x00", b"NOPE" + blob[4:], blob[:4] + b"\x02" + blob[5:]]
+        bad.append(blob[:12] + b"\x07" + blob[13:])  # a segment length of 1007
+        bad.append(blob[:18] + b"\xff" + blob[19:])  # a subject id that is not UTF-8
+        bad.append(blob[:face_at] + b"\x05" + blob[face_at + 1 :])  # face kind 5
+        files = record_opens(monkeypatch, session_io)
+        read_samples(path)
+        for body in bad:
+            path.write_bytes(body)
+            with pytest.raises(CorruptionError):
+                read_samples(path)
+        assert len(files) == 1 + len(bad)
+        assert all(f.closed for f in files)
+
+    def test_a_file_that_shrinks_while_read_gives_the_same_error(self, tmp_path):
+        from bioaffect.errors import BlobReader
+
+        path = tmp_path / "samples.bin"
+        for read, needs in ((lambda r: r.take(40, "header"), 40),
+                            (lambda r: r.floats((5,), "label"), 40)):
+            path.write_bytes(bytes(64))
+            with open(path, "rb") as f:
+                reader = BlobReader(path, f)
+                path.write_bytes(bytes(30))  # cut after the size was taken
+                with pytest.raises(
+                    CorruptionError,
+                    match=rf"samples\.bin: truncated at byte offset 0: \w+ needs {needs} bytes, "
+                    r"30 remain",
+                ):
+                    read(reader)

@@ -1,5 +1,7 @@
 """Forward semantics of the tensor ops against hand values and loop oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -647,3 +649,41 @@ class TestKernelsMatchReplacedFormulation:
         out.grad = g
         out._backprop()
         _assert_same_bits(xt.grad, _add_at_reference(shape, index, g))
+
+
+# Every ReLU input shape in the forward graphs of the three production
+# variants: bio stream, face CNN, BAE encoder and decoder, and the merges.
+_RELU_SHAPES = [
+    (4, 801), (2, 301), (2, 101), (2, 26),
+    (8, 62, 62), (16, 29, 29), (32, 12, 12),
+    (16, 801), (8, 301), (4, 101), (8, 150), (16, 400), (1, 1000),
+    (4308,), (512,), (4564,),
+]
+# NaNs of both signs (and two payloads), zeros of both signs, infinities
+# and the smallest subnormals.
+_RELU_SPECIALS = np.array(
+    [0x7FF8000000000001, 0xFFF8000000000002, 0x8000000000000000, 0, 0x7FF0000000000000,
+     0xFFF0000000000000, 1, 0x8000000000000001],
+    dtype=np.uint64,
+).view(np.float64)
+
+
+@pytest.mark.parametrize("kind", ["specials", "negative_zeros"])
+@pytest.mark.parametrize("shape", _RELU_SHAPES)
+def test_relu_has_the_bits_of_the_masked_formulation(shape, kind):
+    rng = np.random.default_rng(math.prod(shape))
+    x = rng.normal(size=shape)
+    flat = x.reshape(-1)
+    if kind == "specials":
+        flat[rng.choice(flat.size, 4 * _RELU_SPECIALS.size, replace=False)] = np.repeat(
+            _RELU_SPECIALS, 4
+        )
+    else:  # vectorized loops may treat a few elements on their own, wherever they fall
+        flat[...] = -0.0
+    xt = Tensor(x, requires_grad=True)
+    out = T.relu(xt)
+    _assert_same_bits(out.data, np.where(x > 0, x, 0.0))
+    g = rng.normal(size=shape)
+    out.grad = g
+    out._backprop()
+    _assert_same_bits(xt.grad, np.zeros(shape) + g * (x > 0))
