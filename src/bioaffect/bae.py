@@ -20,7 +20,7 @@ from . import tensor as T
 from .errors import GraphError, ShapeError
 from .optim import check_fit_settings, fit
 from .params import ParamStore
-from .signals import BioSegment, Channel
+from .signals import Channel
 from .tensor import Tensor
 
 
@@ -85,21 +85,6 @@ class BaeArch:
     @property
     def flat_width(self) -> int:
         return self.enc_filters[-1] * self.encoder_chain()[-1]
-
-
-@dataclass
-class LatentVector:
-    """The compact per-channel code emitted by the encoder bottleneck."""
-
-    z: np.ndarray
-    channel: Channel
-
-    def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=np.float64)
-        if self.z.ndim != 1:
-            raise ShapeError("latent vector must be 1D")
-        if not np.isfinite(self.z).all():
-            raise ShapeError("latent vector contains non-finite values")
 
 
 class BaeModel:
@@ -167,18 +152,6 @@ class BaeModel:
             h = conv_relu(self.store, f"{self.prefix}dec.", n + 1 + step, T.conv1d_full, h)
         assert h.data.shape == (1, arch.seg_len), h.data.shape
         return h
-
-    # Typed, non-graph entry points.
-
-    def encode(self, segment) -> tuple:
-        window = segment.window if isinstance(segment, BioSegment) else np.asarray(segment)
-        z, indices = self.encode_graph(Tensor(window.reshape(-1)))
-        return LatentVector(z.data.copy(), self.channel), indices
-
-    def decode(self, latent, indices) -> np.ndarray:
-        z = latent.z if isinstance(latent, LatentVector) else np.asarray(latent)
-        recon = self.decode_graph(Tensor(z), indices)
-        return recon.data.reshape(-1).copy()
 
 
 def reconstruction_loss(x, x_hat) -> float:

@@ -3,8 +3,7 @@
 Per channel, the bio stream stacks four conv/pool blocks with shrinking
 kernels and concatenates every pooled map (a dense skip aggregation), so
 coarse early features and narrow late ones reach the head together. The
-spatial stream is a small trainable CNN over the face crop, or a
-passthrough for externally computed feature vectors.
+spatial stream is a small trainable CNN over the face crop.
 
 Two latent-fusion variants rewire the streams around the per-channel
 auto-encoders: "bae1" feeds the latent codes in place of the bio stream,
@@ -17,7 +16,6 @@ their reconstructions join the objective:
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -106,7 +104,6 @@ class ModelSpec:
     variant: FusionVariant = FusionVariant.BMMN
     use_bio: bool = True
     use_spatial: bool = True
-    spatial_passthrough: int | None = None  # width of ingested feature vectors
     bio_arch: BioNetArch = field(default_factory=BioNetArch)
     spatial_arch: SpatialArch = field(default_factory=SpatialArch)
     bae_arch: BaeArch = field(default_factory=BaeArch)
@@ -126,27 +123,21 @@ class ModelSpec:
             return ("latent", "spatial")
         return ("bio", "latent", "spatial")
 
-    def spatial_width(self) -> int:
-        if self.spatial_passthrough is not None:
-            return int(self.spatial_passthrough)
-        return self.spatial_arch.features
-
     def head_input_width(self) -> int:
         widths = {
             "bio": len(CHANNEL_ORDER) * self.bio_arch.merge_width(),
             "latent": len(CHANNEL_ORDER) * self.bae_arch.latent,
-            "spatial": self.spatial_width(),
+            "spatial": self.spatial_arch.features,
         }
         return sum(widths[s] for s in self.streams())
 
 
 @dataclass
 class ModelInput:
-    """Raw forward inputs: one window per channel plus the face payload."""
+    """Raw forward inputs: one window per channel plus the face image."""
 
     windows: dict
-    face_image: np.ndarray | None = None
-    face_features: np.ndarray | None = None
+    face_image: np.ndarray
 
     @classmethod
     def from_sample(cls, sample) -> "ModelInput":
@@ -154,7 +145,6 @@ class ModelInput:
         return cls(
             windows={c: sample.segments[c].window for c in sample.segments},
             face_image=sample.face.image,
-            face_features=sample.face.feature_vector,
         )
 
 
@@ -188,10 +178,6 @@ class AffectEstimate:
     def liking(self) -> float:
         return self._scaled(2)
 
-    @property
-    def emotion_scores(self) -> np.ndarray:
-        return self.values[3:]
-
     def emotion_class(self) -> int:
         return int(np.argmax(self.values[3:]))
 
@@ -223,7 +209,7 @@ class BmmnModel:
             blocks = list(zip(bio.filters, (1, *bio.filters), bio.kernels))
             for ch in CHANNEL_ORDER:
                 create_convs(self.store, f"bio.{ch.value}.", blocks)
-        if "spatial" in streams and spec.spatial_passthrough is None:
+        if "spatial" in streams:
             face = spec.spatial_arch
             k = face.kernel
             create_convs(self.store, "spatial.", [
@@ -264,21 +250,8 @@ class BmmnModel:
         assert merged.data.shape == (expected,)
         return merged
 
-    def spatial_forward(self, face_image, face_features) -> Tensor:
-        spec = self.spec
-        if spec.spatial_passthrough is not None:
-            if face_features is None:
-                raise ConfigError("model expects precomputed face features")
-            fv = np.asarray(face_features, dtype=np.float64)
-            if fv.shape != (spec.spatial_passthrough,):
-                raise ShapeError(
-                    f"face features must have length {spec.spatial_passthrough}, "
-                    f"got {fv.shape}"
-                )
-            return Tensor(fv)
-        if face_image is None:
-            raise ConfigError("model expects a face image")
-        arch = spec.spatial_arch
+    def spatial_forward(self, face_image) -> Tensor:
+        arch = self.spec.spatial_arch
         img = np.asarray(face_image, dtype=np.float64)
         if img.shape != (arch.side, arch.side):
             raise ShapeError(
@@ -329,7 +302,7 @@ class BmmnModel:
                 codes[ch] = (z, idx)
                 originals[ch] = window
         if "spatial" in active:
-            streams.append(self.spatial_forward(inputs.face_image, inputs.face_features))
+            streams.append(self.spatial_forward(inputs.face_image))
         est = self.head_forward(streams)
         return est, codes, originals
 
@@ -419,9 +392,6 @@ class TrainConfig:
         self.variant = FusionVariant(self.variant).value
         self.holdout_subjects = tuple(self.holdout_subjects)
         check_fit_settings(self.epochs, self.batch_size, self.lr)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def weights(self) -> LossWeights:
         return LossWeights(self.lambda_affect, self.lambda_recon)
@@ -545,7 +515,6 @@ def save_model(model: BmmnModel, out_dir, config: TrainConfig | None = None) -> 
         "variant": spec.variant.value,
         "use_bio": spec.use_bio,
         "use_spatial": spec.use_spatial,
-        "spatial_passthrough": spec.spatial_passthrough,
         "bio_arch": asdict(spec.bio_arch),
         "spatial_arch": asdict(spec.spatial_arch),
         "bae_arch": asdict(spec.bae_arch),
@@ -553,7 +522,7 @@ def save_model(model: BmmnModel, out_dir, config: TrainConfig | None = None) -> 
         "widths": {
             "streams": list(spec.streams()),
             "bio_merge_per_channel": spec.bio_arch.merge_width(),
-            "spatial_features": spec.spatial_width(),
+            "spatial_features": spec.spatial_arch.features,
             "latent_per_channel": spec.bae_arch.latent,
             "head_input": spec.head_input_width(),
             "outputs": N_OUTPUTS,
@@ -577,11 +546,17 @@ def load_model(model_dir) -> BmmnModel:
     meta_path = model_dir / "model.json"
     meta = read_json(meta_path)
     try:
+        # Earlier models wrote this field, always null but for precomputed face
+        # features, which the spatial stream no longer reads.
+        if meta.get("spatial_passthrough") is not None:
+            raise CorruptionError(
+                f"{meta_path}: field 'spatial_passthrough' is "
+                f"{meta['spatial_passthrough']!r}; only face-image models load"
+            )
         spec = ModelSpec(
             variant=FusionVariant(meta["variant"]),
             use_bio=meta["use_bio"],
             use_spatial=meta["use_spatial"],
-            spatial_passthrough=meta["spatial_passthrough"],
             bio_arch=_arch(BioNetArch, meta["bio_arch"]),
             spatial_arch=_arch(SpatialArch, meta["spatial_arch"]),
             bae_arch=_arch(BaeArch, meta["bae_arch"]),

@@ -37,6 +37,7 @@ from .files import build_config, read_json, write_json, write_lines
 from .params import ParamStore, load_params, save_params
 from .signals import Channel
 from .session_io import list_sessions, read_samples, session_samples, write_samples
+from .tensor import Tensor
 
 _USAGE_ERRORS = (ValidationError, ConfigError, ParseError, IngestError, ShapeError,
                  CorruptionError, FileNotFoundError, NotADirectoryError)
@@ -183,9 +184,9 @@ def _dump_latents(models: dict, samples: list, out: Path) -> None:
     for sample in samples:
         for ch, model in models.items():
             window = sample.segments[ch].window
-            latent, indices = model.encode(window)
-            recon = model.decode(latent, indices)
-            z_csv = ",".join(repr(float(v)) for v in latent.z)
+            z, indices = model.encode_graph(Tensor(window))
+            recon = model.decode_graph(z, indices).data.reshape(-1)
+            z_csv = ",".join(repr(float(v)) for v in z.data)
             z_lines.append(f"{sample.frame_index},{ch.value},{z_csv}")
             for pos, (a, b) in enumerate(zip(window, recon)):
                 trace_lines.append(
@@ -201,7 +202,7 @@ def _load_train_config(args) -> tuple:
         config_hash = _sha256_file(args.config)
     else:
         config = bmmn.TrainConfig()
-        config_hash = _sha256_text(config.to_json())
+        config_hash = _sha256_text(json.dumps(asdict(config), indent=2, sort_keys=True))
     if getattr(args, "variant", None):
         config = replace(config, variant=args.variant)
     if args.seed is not None:

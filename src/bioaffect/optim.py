@@ -11,24 +11,17 @@ from .errors import ConfigError, GraphError, NonFiniteError
 from .params import ParamStore
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class AdamState:
-    """First/second moment buffers plus the step counter for one run.
+    """First/second moment buffers plus the step counter for one run."""
 
-    Defaults: lr 1e-4, beta1 0.9, beta2 0.999, eps 1e-8.
-    """
-
-    def __init__(
-        self,
-        params: ParamStore,
-        lr: float = 1e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: ParamStore, lr: float = 1e-4):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
@@ -57,7 +50,7 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
             raise GraphError(f"adam_step: state was not built for parameter {name!r}")
     state.step_count += 1
     t_step = state.step_count
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    b1, b2, lr, eps = BETA1, BETA2, state.lr, EPS
     bc1 = 1.0 - b1**t_step
     bc2 = 1.0 - b2**t_step
     scratch = np.empty(_ADAM_BLOCK)

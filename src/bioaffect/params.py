@@ -28,6 +28,8 @@ from .tensor import Tensor
 
 _MAGIC = b"BAPC"
 _VERSION = 1
+# numpy 1.x arrays have at most 32 dimensions (numpy 2.x, 64); parameters here have 1 to 4.
+_MAX_NDIM = 32
 
 
 def _name_key(name: str) -> int:
@@ -153,10 +155,10 @@ def load_params(path) -> ParamStore:
 
     The file is read field by field, and the values straight into one
     buffer (`BlobReader.floats`) of which the parameters are views, so the
-    peak is about the value bytes. A file cut
-    anywhere, a name that is not UTF-8 or that repeats, or bytes after the
-    last value raise a CorruptionError that names the path, the field and
-    the byte offset.
+    peak is about the value bytes. A file cut anywhere, a name that is not
+    UTF-8 or that repeats, an ndim above 32, or bytes after the last value
+    raise a CorruptionError that names the path, the field and the byte
+    offset.
     """
     path = Path(path)
     with open(path, "rb") as f:
@@ -175,6 +177,11 @@ def load_params(path) -> ParamStore:
                     f"{path}: parameter name {name!r} repeated at byte offset {start}"
                 )
             (ndim,) = reader.unpack("<B", f"ndim of {name!r}")
+            if ndim > _MAX_NDIM:
+                raise CorruptionError(
+                    f"{path}: ndim of {name!r} at byte offset {reader.offset - 1} is {ndim}, "
+                    f"more than {_MAX_NDIM}"
+                )
             shapes[name] = reader.unpack(f"<{ndim}I", f"shape of {name!r}")
         store = ParamStore(rng_seed=seed)
         for name, shape in shapes.items():

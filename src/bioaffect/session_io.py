@@ -23,8 +23,7 @@ JSON sidecar. Record layout (little-endian):
       u16+utf8 subject id, u16+utf8 session id, u32 frame index,
       f64 timestamp, 10 x f64 label (valence, arousal, liking, emotions),
       segment length x f64 ECG window, segment length x f64 EDA window,
-      u8 face kind (0 image / 1 feature vector),
-      image: u32 side then side*side x f64; features: u32 length then f64s.
+      u8 face kind (always 0: an image), u32 side, side*side x f64 image.
 """
 
 from __future__ import annotations
@@ -100,6 +99,7 @@ def read_pgm(path) -> np.ndarray:
 
 
 _SIGNAL_HEADER = "time_s,value"
+_FRAMES_HEADER = "frame_index,timestamp_s"
 
 
 def write_signal_csv(path, trace: SignalTrace) -> None:
@@ -129,6 +129,12 @@ def _pair_rows(path, header: str, first, bad_row: str) -> list:
     return rows
 
 
+def _row_line(path, header: str, row: int) -> int:
+    """The file line of data row `row` (from 0) of a CSV read by `_pair_rows`."""
+    lineno, _ = next(itertools.islice(read_lines(path, header=header), row, None))
+    return lineno
+
+
 def read_signal_csv(path, channel: Channel) -> SignalTrace:
     path = Path(path)
     # One array parse of the body. A file it does not read as the header and
@@ -153,9 +159,7 @@ def read_signal_csv(path, channel: Channel) -> SignalTrace:
         raise ParseError(f"{path}: need at least 2 samples, got {len(values)}")
     dt = np.diff(times_arr)
     if (dt <= 0).any():
-        row = int(np.argmax(dt <= 0)) + 1
-        lines = read_lines(path, header=_SIGNAL_HEADER)
-        lineno, _ = next(itertools.islice(lines, row, None))
+        lineno = _row_line(path, _SIGNAL_HEADER, int(np.argmax(dt <= 0)) + 1)
         raise ParseError(f"{path}:{lineno}: timestamps must be strictly increasing")
     rate = (len(times_arr) - 1) / (times_arr[-1] - times_arr[0])
     for supported in SUPPORTED_SOURCE_HZ:
@@ -245,11 +249,20 @@ def load_session(session_dir) -> SessionData:
     frames_csv = frames_dir / "frames.csv"
     if not frames_csv.exists():
         raise IngestError(f"missing frames index: {frames_csv}")
-    rows = _pair_rows(frames_csv, "frame_index,timestamp_s", int, "bad frame row")
+    rows = _pair_rows(frames_csv, _FRAMES_HEADER, int, "bad frame row")
+    # Frames in index order; each index once, each timestamp after the last.
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    for a, b in zip(order, order[1:]):
+        (idx_a, t_a), (idx_b, t_b) = rows[a], rows[b]
+        if idx_b == idx_a or t_b <= t_a:
+            lineno = _row_line(frames_csv, _FRAMES_HEADER, max(a, b))
+            why = (f"frame index {idx_b} repeated" if idx_b == idx_a
+                   else f"frame {idx_b} at {t_b!r} s is not after frame {idx_a} at {t_a!r} s")
+            raise ParseError(f"{frames_csv}:{lineno}: {why}")
     landmarks_csv = frames_dir / "landmarks.csv"
     landmark_table = _read_landmarks_csv(landmarks_csv) if landmarks_csv.exists() else {}
     frames = []
-    for idx, t in sorted(rows):
+    for idx, t in (rows[i] for i in order):
         pgm = frames_dir / f"{idx}.pgm"
         if not pgm.exists():
             raise IngestError(f"missing frame image: {pgm}")
@@ -314,16 +327,11 @@ def _sample_chunks(samples: list):
         yield np.ascontiguousarray(label_vec, dtype="<f8").tobytes()
         for channel in (Channel.ECG, Channel.EDA):
             yield np.ascontiguousarray(s.segments[channel].window, dtype="<f8").tobytes()
-        if s.face.image is not None:
-            side = s.face.image.shape[0]
-            if s.face.image.shape != (side, side):
-                raise IngestError("processed face images must be square")
-            yield struct.pack("<BI", 0, side)
-            yield np.ascontiguousarray(s.face.image, dtype="<f8").tobytes()
-        else:
-            fv = s.face.feature_vector
-            yield struct.pack("<BI", 1, fv.size)
-            yield np.ascontiguousarray(fv, dtype="<f8").tobytes()
+        side = s.face.image.shape[0]
+        if s.face.image.shape != (side, side):
+            raise IngestError("processed face images must be square")
+        yield struct.pack("<BI", 0, side)
+        yield np.ascontiguousarray(s.face.image, dtype="<f8").tobytes()
 
 
 def read_samples(path) -> list:
@@ -332,12 +340,22 @@ def read_samples(path) -> list:
     The file is read field by field, and the arrays straight into one
     buffer (`BlobReader.floats`) of which they are views, so the peak is
     about the bytes of the arrays returned. A file cut anywhere, an id that
-    is not UTF-8, or bytes after the last sample raise a CorruptionError
-    that names the path and the byte offset.
+    is not UTF-8, a face kind other than 0, a value its type refuses (one
+    not finite, or out of its range) or bytes after the last sample raise a
+    CorruptionError that names the path, the field and the byte offset.
     """
     path = Path(path)
     with open(path, "rb") as f:
         reader = BlobReader(path, f)
+
+        def checked(build, shape, field):
+            """`build` of the next float array; its domain error names the field's offset."""
+            start = reader.offset
+            try:
+                return build(reader.floats(shape, field))
+            except (ValidationError, IngestError) as exc:
+                raise CorruptionError(f"{path}: {field} at byte offset {start}: {exc}") from None
+
         if reader.take(4, "magic") != _SAMPLES_MAGIC:
             raise CorruptionError(f"{path}: not a processed-sample file (bad magic)")
         version, count, seg_len = reader.unpack("<III", "header")
@@ -353,35 +371,21 @@ def read_samples(path) -> list:
             subject_id = reader.text("subject id")
             session_id = reader.text("session id")
             frame_index, timestamp = reader.unpack("<Id", "frame index and timestamp")
-            label_vec = reader.floats((10,), "label")
-            label = AffectLabel(
-                valence=label_vec[0],
-                arousal=label_vec[1],
-                liking=label_vec[2],
-                emotions=label_vec[3:10],
-            )
-            segments = {}
-            for channel, field in windows:
-                window = reader.floats((seg_len,), field)
-                segments[channel] = BioSegment(channel, window, frame_index)
-            kind, payload = reader.unpack("<BI", "face header")
-            if kind == 0:
-                shape = (payload, payload)
-            elif kind == 1:
-                shape = (payload,)
-            else:
+            label = checked(lambda v: AffectLabel(v[0], v[1], v[2], v[3:10]), (10,), "label")
+            segments = {
+                channel: checked(lambda w: BioSegment(channel, w, frame_index), (seg_len,), field)
+                for channel, field in windows
+            }
+            kind, side = reader.unpack("<BI", "face header")
+            if kind != 0:
                 raise CorruptionError(
                     f"{path}: unknown face payload kind {kind} at byte offset {reader.offset - 5}"
                 )
-            values = reader.floats(shape, "face payload")
-            if kind == 0:
-                face = FrameRecord(timestamp_s=timestamp, image=values)
-            else:
-                face = FrameRecord(timestamp_s=timestamp, feature_vector=values)
             samples.append(
                 SyncedSample(
                     segments=segments,
-                    face=face,
+                    face=checked(lambda img: FrameRecord(timestamp_s=timestamp, image=img),
+                                 (side, side), "face payload"),
                     label=label,
                     subject_id=subject_id,
                     session_id=session_id,

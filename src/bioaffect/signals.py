@@ -58,24 +58,18 @@ class SignalTrace:
 
 @dataclass
 class FrameRecord:
-    """One video frame: either a grayscale image or a precomputed feature vector."""
+    """One video frame: a grayscale image, with optional face landmarks."""
 
     timestamp_s: float
-    image: np.ndarray | None = None
-    feature_vector: np.ndarray | None = None
+    image: np.ndarray
     landmarks: list | None = None
 
     def __post_init__(self):
-        if (self.image is None) == (self.feature_vector is None):
-            raise IngestError("frame must carry exactly one of image / feature_vector")
-        if self.image is not None:
-            self.image = np.asarray(self.image, dtype=np.float64)
-            if self.image.ndim != 2:
-                raise IngestError(f"frame image must be 2D, got shape {self.image.shape}")
-        if self.feature_vector is not None:
-            self.feature_vector = np.asarray(self.feature_vector, dtype=np.float64)
-            if self.feature_vector.ndim != 1:
-                raise IngestError("frame feature vector must be 1D")
+        self.image = np.asarray(self.image, dtype=np.float64)
+        if self.image.ndim != 2:
+            raise IngestError(f"frame image must be 2D, got shape {self.image.shape}")
+        if not np.isfinite(self.image).all():
+            raise IngestError("frame image contains non-finite values")
 
 
 @dataclass
@@ -96,7 +90,7 @@ class AffectLabel:
         self.emotions = np.asarray(self.emotions, dtype=np.float64)
         if self.emotions.shape != (7,):
             raise ValidationError(f"emotions must have 7 entries, got {self.emotions.shape}")
-        if ((self.emotions < 0) | (self.emotions > 1)).any():
+        if not ((self.emotions >= 0) & (self.emotions <= 1)).all():  # NaN fails too
             raise ValidationError("emotion indicators must lie in [0, 1]")
 
     def emotion_class(self) -> int:
@@ -118,7 +112,8 @@ class BioSegment:
                 f"bio segment must have exactly {SEGMENT_LEN} samples, "
                 f"got {self.window.shape}"
             )
-        if self.window.min() < 0.0 or self.window.max() > 1.0:
+        # Written so that a NaN, which fails every comparison, is refused too.
+        if not (self.window.min() >= 0.0 and self.window.max() <= 1.0):
             raise ValidationError("bio segment values must lie in [0, 1]")
 
 
@@ -269,9 +264,7 @@ def crop_face(full_image: np.ndarray, landmarks, side: int = 64) -> np.ndarray:
 
 
 def prepare_face(frame: FrameRecord, side: int = 64) -> FrameRecord:
-    """Crop by landmarks when available, else resize; feature vectors pass through."""
-    if frame.feature_vector is not None:
-        return frame
+    """Crop by landmarks when available, else resize."""
     if frame.landmarks:
         face = crop_face(frame.image, frame.landmarks, side=side)
     elif frame.image.shape != (side, side):

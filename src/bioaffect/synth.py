@@ -381,22 +381,17 @@ def gen_therapy_session(spec: TherapySpec, out_dir) -> Path:
     return session_dir
 
 
-def gen_ecg_segments(n_segments: int, seed: int, noise_sigma: float = 0.02) -> list:
+def gen_ecg_segments(n_segments: int, seed: int) -> list:
     """Scaled SEGMENT_LEN ECG windows for standalone reconstruction training."""
     rng = np.random.default_rng([int(seed), 505])
     windows = []
-    trial = 0
     while len(windows) < n_segments:
         arousal = float(np.clip(rng.normal(5.0, 1.5), 1.0, 9.0))
         label = AffectLabel(5.0, arousal, 5.0)
-        trace = rescale(
-            gen_ecg(label, 15.0, 128.0, int(rng.integers(2**31 - 1)),
-                    noise_sigma=noise_sigma)
-        )
+        trace = rescale(gen_ecg(label, 15.0, 128.0, int(rng.integers(2**31 - 1))))
         frame_times = 2.0 + 2.5 * np.arange(4)
         for seg in segment_for_frames(trace, frame_times):
             windows.append(seg.window)
             if len(windows) == n_segments:
                 break
-        trial += 1
     return windows

@@ -51,7 +51,7 @@ import weakref
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import ConfigError, CorruptionError, GraphError, ShapeError
+from .errors import CorruptionError, GraphError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -405,16 +405,14 @@ def conv1d_valid(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
     return _conv1d(as_tensor(x), as_tensor(kernels), stride, full=False)
 
 
-def conv1d_full(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
+def conv1d_full(x: Tensor, kernels: Tensor) -> Tensor:
     """Full (transposed) cross-correlation: output length L + K - 1.
 
-    out[o, t] = sum over c, k of x[c, t - k] * kernels[o, c, k]. Only
-    stride 1 is supported; this is the adjoint of `conv1d_valid` at
-    stride 1 with the kernel in/out axes swapped.
+    out[o, t] = sum over c, k of x[c, t - k] * kernels[o, c, k]: the
+    adjoint of `conv1d_valid` at stride 1 with the kernel in/out axes
+    swapped.
     """
-    if stride != 1:
-        raise ConfigError(f"conv1d_full supports stride 1 only, got {stride}")
-    return _conv1d(as_tensor(x), as_tensor(kernels), stride, full=True)
+    return _conv1d(as_tensor(x), as_tensor(kernels), 1, full=True)
 
 
 def conv2d_valid(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:

@@ -66,10 +66,6 @@ class TestWidths:
         assert arch.chain() == [31, 14, 6]
         assert arch.flat_width() == 32 * 36
 
-    def test_passthrough_width(self):
-        spec = ModelSpec(spatial_passthrough=512)
-        assert spec.spatial_width() == 512
-
 
 # sha256 of each variant's production parameter list, one "name shape" line
 # per parameter in creation order. The order fixes the checkpoint layout,
@@ -132,19 +128,6 @@ class TestForward:
         sample.face_image = np.zeros((7, 7))
         with pytest.raises(ShapeError, match="face image"):
             model.forward_graph(sample)
-
-    def test_spatial_passthrough_identity(self):
-        spec = ModelSpec(
-            variant=FusionVariant.BMMN,
-            spatial_passthrough=12,
-            bio_arch=BioNetArch.toy(),
-            bae_arch=BaeArch.toy(),
-        )
-        model = BmmnModel(spec, seed=4)
-        rng = np.random.default_rng(4)
-        fv = rng.uniform(0, 1, 12)
-        out = model.spatial_forward(None, fv)
-        np.testing.assert_array_equal(out.data, fv)
 
     def test_variant_without_bae_models_rejected(self):
         model = toy_model("bae1")
@@ -405,6 +388,30 @@ class TestPersistence:
         loaded = load_model(tmp_path / "m")
         after = loaded.predict(sample).values
         np.testing.assert_array_equal(before, after)
+
+    def _with_passthrough(self, path, value):
+        """Write model.json as earlier versions did, with a `spatial_passthrough` field."""
+        import json
+
+        meta = json.loads((path / "model.json").read_text())
+        assert "spatial_passthrough" not in meta
+        (path / "model.json").write_text(json.dumps({**meta, "spatial_passthrough": value}))
+
+    def test_earlier_model_description_loads(self, tmp_path):
+        model = toy_model("bae2", seed=12)
+        sample = toy_sample(model, np.random.default_rng(12))
+        save_model(model, tmp_path / "m")
+        self._with_passthrough(tmp_path / "m", None)
+        after = load_model(tmp_path / "m").predict(sample).values
+        before = model.predict(sample).values
+        assert np.array_equal(before.view(np.uint64), after.view(np.uint64))
+
+    def test_face_feature_model_refused(self, tmp_path):
+        save_model(toy_model("bmmn", seed=13), tmp_path / "m")
+        self._with_passthrough(tmp_path / "m", 512)
+        message = r"model\.json: field 'spatial_passthrough' is 512"
+        with pytest.raises(CorruptionError, match=message):
+            load_model(tmp_path / "m")
 
     def test_load_builds_each_parameter_once(self, tmp_path):
         import tracemalloc

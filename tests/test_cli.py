@@ -420,6 +420,66 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert f"parameter name {first_name.decode()!r} repeated at byte offset {second}" in err
 
+    def test_checkpoint_with_too_many_dimensions_exits_1(self, processed, tmp_path, capsys):
+        import struct
+
+        from bioaffect.bmmn import BmmnModel, save_model
+
+        _, samples = processed
+        model_dir = tmp_path / "model"
+        save_model(BmmnModel.build_toy("bmmn"), model_dir)
+        # One parameter "w" of 65 dimensions of length 1: its ndim is at offset 23.
+        header = b"BAPC" + struct.pack("<IQI", 1, 0, 1) + struct.pack("<H", 1) + b"w"
+        shape = struct.pack("<B", 65) + struct.pack("<65I", *[1] * 65)
+        (model_dir / "params.ckpt").write_bytes(header + shape + bytes(8))
+        code = dispatch(
+            ["eval", "--model", str(model_dir), "--data", str(samples),
+             "--out", str(tmp_path / "report")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{model_dir / 'params.ckpt'}: ndim of 'w' at byte offset 23 is 65" in err
+
+    def test_face_feature_model_exits_1(self, processed, tmp_path, capsys):
+        from bioaffect.bmmn import BmmnModel, save_model
+
+        _, samples = processed
+        model_dir = tmp_path / "model"
+        save_model(BmmnModel.build_toy("bmmn"), model_dir)
+        meta = model_dir / "model.json"
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), "spatial_passthrough": 512}))
+        code = dispatch(
+            ["eval", "--model", str(model_dir), "--data", str(samples),
+             "--out", str(tmp_path / "report")]
+        )
+        assert code == 1
+        assert f"{meta}: field 'spatial_passthrough' is 512" in capsys.readouterr().err
+
+    def test_non_finite_sample_exits_1(self, processed, tmp_path, capsys):
+        import struct
+
+        from bioaffect.bmmn import BmmnModel, save_model
+
+        _, samples = processed
+        model_dir = tmp_path / "model"
+        save_model(BmmnModel.build_toy("bmmn"), model_dir)
+        blob = bytearray(samples.read_bytes())
+        (n,) = struct.unpack_from("<H", blob, 16)
+        (m,) = struct.unpack_from("<H", blob, 18 + n)
+        ecg_at = 16 + (2 + n) + (2 + m) + 12 + 80
+        blob[ecg_at : ecg_at + 8] = struct.pack("<d", float("nan"))
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(blob))
+        with np.errstate(all="raise", under="ignore"):  # as `main` sets them
+            code = dispatch(
+                ["eval", "--model", str(model_dir), "--data", str(bad),
+                 "--out", str(tmp_path / "report")]
+            )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: ECG window at byte offset {ecg_at}: bio segment values" in err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestGradcheckCommand:
     def test_single_op_passes(self, capsys):

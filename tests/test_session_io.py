@@ -188,6 +188,19 @@ class TestLoadSession:
         with pytest.raises(ParseError, match=r"frames\.csv:4: byte 0xff is not ascii"):
             load_session(session_dir)
 
+    @pytest.mark.parametrize("extra, line, why", [
+        ("1,19.9", 5, "frame index 1 repeated"),
+        ("3,4.5", 5, "frame 3 at 4.5 s is not after frame 2 at 5.0 s"),
+    ])
+    def test_frame_order_error_reports_file_line(self, tmp_path, extra, line, why):
+        # frames.csv holds frames 0, 1 and 2 at 1, 3 and 5 s on lines 2 to 4.
+        session_dir = write_minimal_session(tmp_path)
+        write_pgm(session_dir / "frames" / "3.pgm", np.zeros((64, 64)))
+        frames_csv = session_dir / "frames" / "frames.csv"
+        frames_csv.write_text(frames_csv.read_text() + extra + "\n")
+        with pytest.raises(ParseError, match=rf"frames\.csv:{line}: {why}$"):
+            load_session(session_dir)
+
     def test_non_numeric_valence_reports_labels_line(self, tmp_path):
         session_dir = write_minimal_session(tmp_path)
         good = (tmp_path / "labels.jsonl").read_text()
@@ -215,23 +228,25 @@ class TestLoadSession:
         assert found == ["a_t00", "b_t00"]
 
 
-def _sample(frame_index=0, subject="p00", session="p00_t00", with_features=False):
+def _sample(frame_index=0, subject="p00", session="p00_t00"):
     rng = np.random.default_rng(frame_index + 10)
     segments = {
         c: BioSegment(c, rng.uniform(0, 1, SEGMENT_LEN), frame_index)
         for c in (Channel.ECG, Channel.EDA)
     }
-    if with_features:
-        face = FrameRecord(timestamp_s=1.5 * frame_index, feature_vector=rng.uniform(0, 1, 12))
-    else:
-        face = FrameRecord(timestamp_s=1.5 * frame_index, image=rng.uniform(0, 1, (16, 16)))
+    face = FrameRecord(timestamp_s=1.5 * frame_index, image=rng.uniform(0, 1, (16, 16)))
     label = AffectLabel(5.5, 4.5, 5.0, emotions=np.eye(7)[3])
     return SyncedSample(segments, face, label, subject, session)
 
 
+# Byte offset of the first sample's label: the 16-byte header, then the ids
+# "p00" and "p00_t00" with their u16 lengths, then the frame index and timestamp.
+LABEL_AT = 16 + (2 + 3) + (2 + 7) + 12
+
+
 class TestProcessedContainer:
     def test_roundtrip(self, tmp_path):
-        samples = [_sample(i) for i in range(3)] + [_sample(3, with_features=True)]
+        samples = [_sample(i) for i in range(4)]
         path = tmp_path / "samples.bin"
         write_samples(path, samples, extra_meta={"note": "t"})
         back = read_samples(path)
@@ -242,10 +257,7 @@ class TestProcessedContainer:
             assert a.face.timestamp_s == b.face.timestamp_s
             for c in (Channel.ECG, Channel.EDA):
                 assert (a.segments[c].window == b.segments[c].window).all()
-            if a.face.image is not None:
-                assert (a.face.image == b.face.image).all()
-            else:
-                assert (a.face.feature_vector == b.face.feature_vector).all()
+            assert (a.face.image == b.face.image).all()
             assert a.label.valence == b.label.valence
             assert (a.label.emotions == b.label.emotions).all()
         sidecar = json.loads((tmp_path / "samples.bin.json").read_text())
@@ -267,19 +279,18 @@ class TestProcessedContainer:
 
     def test_truncation_names_field_and_offset(self, tmp_path):
         path = tmp_path / "samples.bin"
-        write_samples(path, [_sample(0), _sample(1, with_features=True)])
+        write_samples(path, [_sample(0), _sample(1)])
         blob = path.read_bytes()
         seg = 8 * SEGMENT_LEN
-        label_at = 16 + (2 + 3) + (2 + 7) + 12
-        face_at = label_at + 80 + 2 * seg
+        face_at = LABEL_AT + 80 + 2 * seg
         cuts = {
             10: (4, "header"),
             19: (18, "subject id"),
-            label_at + 40: (label_at, "label"),
-            label_at + 80 + seg + 8: (label_at + 80 + seg, "EDA window"),
+            LABEL_AT + 40: (LABEL_AT, "label"),
+            LABEL_AT + 80 + seg + 8: (LABEL_AT + 80 + seg, "EDA window"),
             face_at + 3: (face_at, "face header"),
             face_at + 5 + 100: (face_at + 5, "face payload"),
-            len(blob) - 1: (len(blob) - 8 * 12, "face payload"),
+            len(blob) - 1: (len(blob) - 8 * 16 * 16, "face payload"),
         }
         for cut, (start, field) in cuts.items():
             path.write_bytes(blob[:cut])
@@ -292,6 +303,42 @@ class TestProcessedContainer:
             path.write_bytes(blob[:cut])
             with pytest.raises(CorruptionError):
                 read_samples(path)
+
+    def test_face_kind_other_than_image_rejected(self, tmp_path):
+        # Kind 1 once meant a precomputed feature vector; only images are read now.
+        path = tmp_path / "samples.bin"
+        write_samples(path, [_sample(0)])
+        blob = bytearray(path.read_bytes())
+        face_at = LABEL_AT + 80 + 2 * 8 * SEGMENT_LEN
+        assert blob[face_at] == 0
+        blob[face_at] = 1
+        path.write_bytes(bytes(blob))
+        with pytest.raises(
+            CorruptionError, match=rf"unknown face payload kind 1 at byte offset {face_at}$"
+        ):
+            read_samples(path)
+
+    @pytest.mark.parametrize("field, at, slot, value, why", [
+        ("label", LABEL_AT, 0, np.nan, r"valence = nan outside \[1, 9\]"),
+        ("label", LABEL_AT, 4, np.nan, "emotion indicators must lie in"),
+        ("label", LABEL_AT, 9, np.inf, "emotion indicators must lie in"),
+        ("ECG window", LABEL_AT + 80, 17, np.nan, "bio segment values must lie in"),
+        ("ECG window", LABEL_AT + 80, 0, 1.5, "bio segment values must lie in"),
+        ("ECG window", LABEL_AT + 80, 1, -0.25, "bio segment values must lie in"),
+        ("EDA window", LABEL_AT + 80 + 8 * SEGMENT_LEN, 999, np.inf, "bio segment values"),
+        ("face payload", LABEL_AT + 80 + 16 * SEGMENT_LEN + 5, 40, -np.inf, "frame image contains"),
+        ("face payload", LABEL_AT + 80 + 16 * SEGMENT_LEN + 5, 255, np.nan, "frame image contains"),
+    ])
+    def test_value_out_of_domain_names_field_and_offset(self, tmp_path, field, at, slot, value,
+                                                        why):
+        path = tmp_path / "samples.bin"
+        write_samples(path, [_sample(0)])
+        blob = bytearray(path.read_bytes())
+        blob[at + 8 * slot : at + 8 * slot + 8] = np.array([value], dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        message = rf"samples\.bin: {field} at byte offset {at}: {why}"
+        with pytest.raises(CorruptionError, match=message):
+            read_samples(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "samples.bin"
@@ -353,9 +400,9 @@ class TestStreamingRead:
 
     def test_arrays_are_writable_contiguous_float64(self, tmp_path):
         path = tmp_path / "samples.bin"
-        write_samples(path, [_sample(0), _sample(1, with_features=True)])
+        write_samples(path, [_sample(0), _sample(1)])
         back = read_samples(path)
-        arrays = [back[0].face.image, back[1].face.feature_vector, back[0].label.emotions]
+        arrays = [back[0].face.image, back[1].face.image, back[0].label.emotions]
         arrays += [s.segments[c].window for s in back for c in (Channel.ECG, Channel.EDA)]
         for arr in arrays:
             assert arr.dtype == np.float64 and arr.flags.writeable and arr.flags.c_contiguous
@@ -365,9 +412,9 @@ class TestStreamingRead:
         from bioaffect import session_io
 
         path = tmp_path / "samples.bin"
-        write_samples(path, [_sample(0), _sample(1, with_features=True)])
+        write_samples(path, [_sample(0), _sample(1)])
         blob = path.read_bytes()
-        face_at = 16 + (2 + 3) + (2 + 7) + 12 + 80 + 2 * 8 * SEGMENT_LEN
+        face_at = LABEL_AT + 80 + 2 * 8 * SEGMENT_LEN
         bad = [blob[:cut] for cut in range(0, len(blob), 37)]
         bad += [blob + b"\x00", b"NOPE" + blob[4:], blob[:4] + b"\x02" + blob[5:]]
         bad.append(blob[:12] + b"\x07" + blob[13:])  # a segment length of 1007

@@ -235,6 +235,11 @@ class TestDomainTypes:
     def test_segment_range_enforced(self):
         with pytest.raises(ValidationError):
             BioSegment(Channel.ECG, np.full(SEGMENT_LEN, 1.5), 0)
+        # NaN fails every comparison, so it must fail the range check too.
+        window = np.full(SEGMENT_LEN, 0.5)
+        window[7] = np.nan
+        with pytest.raises(ValidationError):
+            BioSegment(Channel.ECG, window, 0)
 
     def test_sample_requires_both_channels(self):
         seg = BioSegment(Channel.ECG, np.zeros(SEGMENT_LEN), 0)
@@ -243,7 +248,9 @@ class TestDomainTypes:
             SyncedSample({Channel.ECG: seg}, face, AffectLabel(5, 5, 5), "p", "s")
 
     def test_frame_payload_exclusive(self):
-        with pytest.raises(IngestError):
-            FrameRecord(timestamp_s=0.0, image=np.zeros((4, 4)), feature_vector=np.zeros(3))
-        with pytest.raises(IngestError):
+        # A frame's one payload is a 2-D image: no image, or a vector, is refused.
+        with pytest.raises(TypeError):
             FrameRecord(timestamp_s=0.0)
+        for payload in (None, np.zeros(3)):
+            with pytest.raises(IngestError, match="2D"):
+                FrameRecord(timestamp_s=0.0, image=payload)
