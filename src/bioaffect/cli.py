@@ -197,17 +197,14 @@ def _dump_latents(models: dict, samples: list, out: Path) -> None:
 
 
 def _load_train_config(args) -> tuple:
-    if args.config:
-        config = build_config(bmmn.TrainConfig, args.config)
-        config_hash = _sha256_file(args.config)
-    else:
-        config = bmmn.TrainConfig()
-        config_hash = _sha256_text(json.dumps(asdict(config), indent=2, sort_keys=True))
+    """The run's TrainConfig, with `--variant` and `--seed` applied, and the
+    hash of those settings (not of the file they started from)."""
+    config = build_config(bmmn.TrainConfig, args.config) if args.config else bmmn.TrainConfig()
     if getattr(args, "variant", None):
         config = replace(config, variant=args.variant)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    return config, config_hash
+    return config, _sha256_text(json.dumps(asdict(config), indent=2, sort_keys=True))
 
 
 def _cmd_train(args) -> tuple:

@@ -1,10 +1,15 @@
 """Exception types shared across the toolkit, and the checked binary field reader."""
 
+import bisect
 import math
 import os
 import struct
 
 import numpy as np
+
+# Floats `BlobReader.finite_floats` reads and tests at a time: 256 KB, which
+# stays in a core's cache between the read and the test.
+_BLOCK = 1 << 15
 
 
 class BioaffectError(Exception):
@@ -94,14 +99,54 @@ class BlobReader:
         """
         nbytes = 8 * math.prod(shape)
         start = self._claim(nbytes, field)
-        if self._arena is None:
-            self._arena = np.empty(self.size // 8, dtype="<f8")
-        arr = self._arena[: nbytes // 8].reshape(shape)
-        self._arena = self._arena[nbytes // 8 :]
+        arr = self._next_floats(nbytes // 8).reshape(shape)
         got = self.file.readinto(arr)
         if got != nbytes:
             raise self._truncated(start, nbytes, field, got)
         return arr
+
+    def finite_floats(self, fields: list) -> list:
+        """The next float64 arrays, one per `(shape, field)`, as consecutive
+        views of the next slice of the arena, read into it `_BLOCK` floats
+        at a time.
+
+        Every length is checked before the first read. A read that comes
+        back short names the field it stopped in, as `floats` would field by
+        field. A NaN or infinite value raises a CorruptionError that names
+        its field and byte offset: each block is tested right after it is
+        read, while it is still in cache, by its sum of squares, which is
+        finite whenever every value is and its squares do not overflow (only
+        then is each value tested).
+        """
+        starts, bounds = [], [0]  # field k holds floats bounds[k]:bounds[k + 1]
+        for shape, field in fields:
+            n = math.prod(shape)
+            starts.append(self._claim(8 * n, field))
+            bounds.append(bounds[-1] + n)
+        flat = self._next_floats(bounds[-1])
+        with np.errstate(over="ignore", under="ignore"):
+            for lo in range(0, flat.size, _BLOCK):
+                block = flat[lo : lo + _BLOCK]
+                got = self.file.readinto(block)
+                if got != 8 * block.size:
+                    k = bisect.bisect_right(bounds, lo + got // 8) - 1
+                    raise self._truncated(starts[k], 8 * (bounds[k + 1] - bounds[k]),
+                                          fields[k][1], 8 * (lo - bounds[k]) + got)
+                if not np.isfinite(block @ block) and not np.isfinite(block).all():
+                    i = lo + int(np.flatnonzero(~np.isfinite(block))[0])
+                    k = bisect.bisect_right(bounds, i) - 1
+                    raise CorruptionError(
+                        f"{self.path}: {fields[k][1]}: non-finite value {flat[i]} "
+                        f"at byte offset {starts[k] + 8 * (i - bounds[k])}"
+                    )
+        return [flat[a:b].reshape(shape) for (shape, _), a, b in zip(fields, bounds, bounds[1:])]
+
+    def _next_floats(self, n: int) -> np.ndarray:
+        if self._arena is None:
+            self._arena = np.empty(self.size // 8, dtype="<f8")
+        flat = self._arena[:n]
+        self._arena = self._arena[n:]
+        return flat
 
     def unpack(self, fmt: str, field: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), field))

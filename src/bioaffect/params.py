@@ -153,12 +153,12 @@ def _checkpoint_chunks(store: ParamStore):
 def load_params(path) -> ParamStore:
     """Read a checkpoint written by `save_params`, into tensors without grad buffers.
 
-    The file is read field by field, and the values straight into one
-    buffer (`BlobReader.floats`) of which the parameters are views, so the
-    peak is about the value bytes. A file cut anywhere, a name that is not
-    UTF-8 or that repeats, an ndim above 32, or bytes after the last value
-    raise a CorruptionError that names the path, the field and the byte
-    offset.
+    The header is read field by field, and the values block by block into
+    one buffer (`BlobReader.finite_floats`) of which the parameters are
+    views, so the peak is about the value bytes. A file cut anywhere, a
+    name that is not UTF-8 or that repeats, an ndim above 32, a value that
+    is NaN or infinite, or bytes after the last value raise a
+    CorruptionError that names the path, the field and the byte offset.
     """
     path = Path(path)
     with open(path, "rb") as f:
@@ -183,8 +183,11 @@ def load_params(path) -> ParamStore:
                     f"more than {_MAX_NDIM}"
                 )
             shapes[name] = reader.unpack(f"<{ndim}I", f"shape of {name!r}")
-        store = ParamStore(rng_seed=seed)
-        for name, shape in shapes.items():
-            store.entries[name] = Tensor(reader.floats(shape, f"values of {name!r}"))
+        arrays = reader.finite_floats(
+            [(shape, f"values of {name!r}") for name, shape in shapes.items()]
+        )
         reader.finish("value")
+        store = ParamStore(rng_seed=seed)
+        for name, arr in zip(shapes, arrays):
+            store.entries[name] = Tensor(arr)
     return store

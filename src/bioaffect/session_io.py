@@ -99,6 +99,9 @@ def read_pgm(path) -> np.ndarray:
 
 
 _SIGNAL_HEADER = "time_s,value"
+# Given a path with one of these suffixes, `np.loadtxt` decompresses the
+# file; the line reader, like every other reader here, reads it as it is.
+_NUMPY_DECOMPRESSES = (".gz", ".bz2", ".xz", ".lzma")
 _FRAMES_HEADER = "frame_index,timestamp_s"
 
 
@@ -137,23 +140,28 @@ def _row_line(path, header: str, row: int) -> int:
 
 def read_signal_csv(path, channel: Channel) -> SignalTrace:
     path = Path(path)
-    # One array parse of the body. A file it does not read as the header and
-    # two float columns (a bad header or byte, a whitespace-only line, a bad
-    # field, a wrong field count, no rows at all) goes to the line reader,
-    # which skips or names the offending line.
+    # The body is parsed in one block read: `np.loadtxt` is given the path,
+    # so its C reader pulls the file in blocks rather than one Python line
+    # at a time. A file this parse refuses (a header other than the exact
+    # line, a bad byte, a whitespace-only line, a bad field, a wrong field
+    # count, no rows at all) goes to the line reader, which skips or names
+    # the offending `file:line`.
     rows = None
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            if fh.readline().strip() == _SIGNAL_HEADER:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", UserWarning)  # loadtxt's "no data"
-                    rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    except (ValueError, UserWarning):  # UnicodeDecodeError is a ValueError
-        pass
+    with open(path, "rb") as fh:
+        head = fh.read(len(_SIGNAL_HEADER) + 1)
+    if (head[:-1] == _SIGNAL_HEADER.encode("ascii") and head[-1:] in (b"\n", b"\r")
+            and path.suffix not in _NUMPY_DECOMPRESSES):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # loadtxt's "no data"
+                rows = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                                  skiprows=1, encoding="ascii")
+        except (ValueError, UserWarning):  # UnicodeDecodeError is a ValueError
+            pass
     if rows is None or rows.shape[1] != 2:
         rows = np.array(_pair_rows(path, _SIGNAL_HEADER, float, "non-numeric field"),
                         dtype=np.float64).reshape(-1, 2)
-    times_arr = np.ascontiguousarray(rows[:, 0])
+    times_arr = rows[:, 0]
     values = np.ascontiguousarray(rows[:, 1])
     if len(values) < 2:
         raise ParseError(f"{path}: need at least 2 samples, got {len(values)}")

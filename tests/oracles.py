@@ -123,3 +123,25 @@ def least_squares_r2(features, targets):
     ss_res = float(np.sum((targets - pred) ** 2))
     ss_tot = float(np.sum((targets - np.mean(targets)) ** 2))
     return 1.0 - ss_res / ss_tot
+
+
+def bilinear_sample_four_gather(image, ys, xs):
+    """Bilinear sampling of `image` at the grid `ys` x `xs`, clamped to the
+    image, as four broadcast 2-D gathers. This is the form the package's
+    row-then-column sampler replaced; the two must agree bit for bit."""
+    h, w = image.shape
+    ys = np.clip(ys, 0.0, h - 1.0)
+    xs = np.clip(xs, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = ys - y0
+    wx = xs - x0
+    top = image[y0[:, None], x0[None, :]] * (1 - wx)[None, :] + image[
+        y0[:, None], x1[None, :]
+    ] * wx[None, :]
+    bottom = image[y1[:, None], x0[None, :]] * (1 - wx)[None, :] + image[
+        y1[:, None], x1[None, :]
+    ] * wx[None, :]
+    return top * (1 - wy)[:, None] + bottom * wy[:, None]

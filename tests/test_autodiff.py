@@ -1,5 +1,7 @@
 """Backward pass, optimizer, and initialization behavior."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -396,6 +398,39 @@ class TestCheckpointReading:
         ):
             load_params(path)
 
+    @pytest.mark.parametrize("name, index, value", [
+        ("b", 2, np.nan), ("b", 0, np.inf), ("c", 1, -np.inf),
+        ("a", 0, np.nan), ("a", 70_000, np.inf),  # a's values span three read blocks
+    ])
+    def test_non_finite_value_names_the_first_parameter_and_offset(self, tmp_path, name,
+                                                                   index, value):
+        store = ParamStore(rng_seed=5)
+        store.create("a", (300, 300))
+        store.create("b", (4,))
+        store.create("c", (5,))
+        store[name].data.flat[index] = value
+        store["c"].data[-1] = np.nan  # a later bad value is not the one named
+        path = tmp_path / "params.ckpt"
+        save_params(store, path)
+        before = {"a": 0, "b": 90_000, "c": 90_004}[name]
+        offset = path.stat().st_size - 8 * 90_009 + 8 * (before + index)
+        with pytest.raises(
+            CorruptionError,
+            match=re.escape(f"params.ckpt: values of {name!r}: non-finite value {value} "
+                            f"at byte offset {offset}"),
+        ), np.errstate(all="raise", under="ignore"):  # as the CLI's `main` sets them
+            load_params(path)
+
+    def test_values_whose_squares_overflow_load(self, tmp_path):
+        store = ParamStore(rng_seed=5)
+        store.create("a", (2, 3))
+        store["a"].data[...] = [[1e200, -1e300, 1.0], [np.finfo(float).max, 5e-324, 0.0]]
+        path = tmp_path / "params.ckpt"
+        save_params(store, path)
+        with np.errstate(all="raise"):  # squares that overflow or underflow raise nothing
+            loaded = load_params(path)
+        assert np.array_equal(loaded["a"].data.view(np.uint64), store["a"].data.view(np.uint64))
+
     def test_peak_is_about_the_value_bytes(self, tmp_path):
         import tracemalloc
 
@@ -431,6 +466,7 @@ class TestCheckpointReading:
         bad += [blob + b"\x00", b"NOPE" + blob[4:], blob[:4] + b"\x02" + blob[5:]]
         bad.append(blob[:22] + b"\xff" + blob[23:])  # a name that is not UTF-8
         bad.append(blob[:second_name] + b"a" + blob[second_name + 1 :])  # "a" twice
+        bad.append(blob[:-8] + np.float64(np.nan).tobytes())  # a NaN value
         files = record_opens(monkeypatch, params)
         load_params(path)
         for body in bad:

@@ -177,6 +177,29 @@ class TestTrainEval:
         assert (outs[0] / "params.ckpt").read_bytes() == (outs[1] / "params.ckpt").read_bytes()
 
 
+class TestTrainManifest:
+    def test_config_hash_covers_the_variant(self, processed, tmp_path):
+        _, samples = processed
+        pcfg = tmp_path / "pretrain.json"
+        pcfg.write_text(json.dumps({**PRETRAIN_CONFIG, "epochs": 0}))
+        bae_dir = tmp_path / "bae"
+        assert dispatch(["pretrain-bae", "--data", str(samples), "--config", str(pcfg),
+                         "--out", str(bae_dir)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**TRAIN_CONFIG, "epochs": 0}))
+
+        def config_hash(variant, name):
+            out = tmp_path / name
+            assert dispatch(["train", "--variant", variant, "--data", str(samples),
+                             "--config", str(cfg), "--bae", str(bae_dir),
+                             "--out", str(out)]) == 0
+            return json.loads((out / "manifest.json").read_text())["config_sha256"]
+
+        bae1 = config_hash("bae1", "m1")
+        assert bae1 == config_hash("bae1", "m1_again")
+        assert bae1 != config_hash("bae2", "m2")
+
+
 class TestPretrainAndJointTrain:
     def test_pretrain_then_bae2(self, processed, tmp_path):
         _, samples = processed
@@ -454,6 +477,48 @@ class TestMalformedInputs:
         )
         assert code == 1
         assert f"{meta}: field 'spatial_passthrough' is 512" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, value", [
+        ("eval", float("nan")), ("assess", float("nan")), ("train", float("-inf")),
+    ])
+    def test_non_finite_checkpoint_value_exits_1(self, processed, tmp_path, capsys,
+                                                 command, value):
+        import struct
+
+        from bioaffect.bmmn import BmmnModel, save_model
+
+        _, samples = processed
+        model_dir = tmp_path / "model"
+        save_model(BmmnModel.build_toy("bae2"), model_dir)
+        ckpt = model_dir / "params.ckpt"
+        store = params.load_params(ckpt)
+        names = store.names()
+        before = sum(store[n].data.size for n in names[: names.index("head.fc.b")])
+        blob = bytearray(ckpt.read_bytes())
+        offset = len(blob) - 8 * store.n_values() + 8 * before
+        blob[offset : offset + 8] = struct.pack("<d", value)
+        ckpt.write_bytes(bytes(blob))
+        out = tmp_path / "out"
+        if command == "eval":
+            argv = ["eval", "--model", str(model_dir), "--data", str(samples), "--out", str(out)]
+        elif command == "assess":
+            spec = tmp_path / "therapy.json"
+            spec.write_text(json.dumps({"kind": "therapy", "minutes": 1.0, "fps": 0.2}))
+            assert dispatch(["synth", "--spec", str(spec), "--out", str(tmp_path / "t")]) == 0
+            argv = ["assess", "--model", str(model_dir), "--out", str(out),
+                    "--session", str(tmp_path / "t" / "patient00_therapy")]
+        else:
+            bae_dir = tmp_path / "bae"
+            bae_dir.mkdir()
+            ckpt = ckpt.rename(bae_dir / "bae.ckpt")
+            argv = ["train", "--variant", "bae2", "--data", str(samples), "--out", str(out),
+                    "--bae", str(bae_dir)]
+        with np.errstate(all="raise", under="ignore"):  # as `main` sets them
+            assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert (f"{ckpt}: values of 'head.fc.b': non-finite value {value} "
+                f"at byte offset {offset}") in err
+        assert not out.exists() and not Path(str(out) + ".json").exists()
 
     def test_non_finite_sample_exits_1(self, processed, tmp_path, capsys):
         import struct

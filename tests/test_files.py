@@ -1,6 +1,7 @@
 """The one text reader and the one atomic writer: typed, located read errors;
 whole files or the previous bytes, never a torn file."""
 
+import ast
 import os
 import re
 from dataclasses import dataclass
@@ -174,10 +175,45 @@ def test_only_the_files_module_reads_text():
                  "reopen(p)", "read_lines(p)"):
         assert not _TEXT_OPENS.search(line), line
     assert _source_lines_matching(_READS) == []
-    # The signal CSV's one-array fast path is the only other text-mode open;
-    # the line reader in files.py is its fallback.
-    opens = _source_lines_matching(_TEXT_OPENS)
-    assert [(module, func) for module, func, _ in opens] == [("session_io.py", "read_signal_csv")]
+    # The signal CSV's block parse hands numpy its path (see the loadtxt rule
+    # below) and checks the header in binary, so no text open is left.
+    assert _source_lines_matching(_TEXT_OPENS) == []
+
+
+def _loadtxt_calls(source: str) -> list:
+    """`(enclosing function, first argument, whether it is a path)` for each
+    `np.loadtxt(` call in `source`. A path is a name the function binds to
+    `Path(...)`; numpy reads only a path (a str or PathLike) in blocks, and
+    anything else (an open file, a list of lines) one Python string a line."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        paths = {
+            target.id for node in ast.walk(func) if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "Path"
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.loadtxt":
+                first = node.args[0] if node.args else None
+                found.append((func.name, ast.unparse(first) if first else "",
+                              isinstance(first, ast.Name) and first.id in paths))
+    return found
+
+
+def test_loadtxt_is_only_ever_given_a_path():
+    line_at_a_time = (
+        "def f(path):\n    path = Path(path)\n    with open(path) as fh:\n"
+        "        fh.readline()\n        return np.loadtxt(fh, delimiter=',')\n"
+    )
+    assert _loadtxt_calls(line_at_a_time) == [("f", "fh", False)]
+    assert _loadtxt_calls("def f(p):\n    return np.loadtxt(p)\n") == [("f", "p", False)]
+    block = "def f(path):\n    path = Path(path)\n    return np.loadtxt(path, skiprows=1)\n"
+    assert _loadtxt_calls(block) == [("f", "path", True)]
+    calls = [(path.name, *call) for path in sorted(SRC.glob("*.py"))
+             for call in _loadtxt_calls(path.read_text())]
+    assert calls == [("session_io.py", "read_signal_csv", "path", True)]
 
 
 @dataclass

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from bioaffect import session_io
 from bioaffect.errors import CorruptionError, IngestError, ParseError, ValidationError
 from bioaffect.session_io import (
     list_sessions,
@@ -77,7 +78,52 @@ class TestPgm:
             read_pgm(path)
 
 
+def _signal_body(sep="\n", end="\n", row="{t!r},{v!r}"):
+    """A `time_s,value` file at 128 Hz: rows `row` joined by `sep`, then `end`."""
+    rng = np.random.default_rng(12)
+    rows = [row.format(t=i / 128.0, v=float(v))
+            for i, v in enumerate(rng.standard_normal(400) * 1e3)]
+    return ("time_s,value" + sep + sep.join(rows) + end).encode("ascii")
+
+
+# Well-formed bodies the block parse must read to the line reader's bits.
+_SIGNAL_BODIES = {
+    "lf": _signal_body(),
+    "crlf": _signal_body(sep="\r\n", end="\r\n"),
+    "cr-only": _signal_body(sep="\r", end="\r"),
+    "no-trailing-newline": _signal_body(end=""),
+    "trailing-blank-lines": _signal_body(end="\n\n\r\n"),
+    "spaced": _signal_body(row=" {t!r} , {v!r} "),
+    "exponent": _signal_body(row="{t:.16e},{v:.17E}"),
+}
+
+
 class TestSignalCsv:
+    @pytest.mark.parametrize("body", _SIGNAL_BODIES.values(), ids=_SIGNAL_BODIES.keys())
+    def test_block_parse_gives_the_line_readers_bits(self, tmp_path, monkeypatch, body):
+        path = tmp_path / "sig.csv"
+        path.write_bytes(body)
+        rows = np.array(session_io._pair_rows(path, "time_s,value", float, "bad"))
+        line_reads = []
+        monkeypatch.setattr(session_io, "_pair_rows",
+                            lambda *args: line_reads.append(args) or [])
+        trace = read_signal_csv(path, Channel.ECG)
+        assert line_reads == []
+        assert np.array_equal(trace.samples.view(np.uint64),
+                              np.ascontiguousarray(rows[:, 1]).view(np.uint64))
+        assert trace.sample_rate_hz == 128.0
+        assert np.float64(trace.start_time_s).view(np.uint64) == rows[0, 0].view(np.uint64)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_a_compression_suffix_is_read_as_it_is(self, tmp_path, suffix):
+        # np.loadtxt would decompress a file by this name; the line reader reads its text.
+        path = tmp_path / f"sig.csv{suffix}"
+        path.write_bytes(_SIGNAL_BODIES["lf"])
+        (tmp_path / "sig.csv").write_bytes(_SIGNAL_BODIES["lf"])
+        got = read_signal_csv(path, Channel.ECG).samples
+        want = read_signal_csv(tmp_path / "sig.csv", Channel.ECG).samples
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_roundtrip_lossless(self, tmp_path):
         rng = np.random.default_rng(2)
         trace = SignalTrace(Channel.ECG, 128.0, rng.standard_normal(500))
@@ -433,15 +479,22 @@ class TestStreamingRead:
         from bioaffect.errors import BlobReader
 
         path = tmp_path / "samples.bin"
-        for read, needs in ((lambda r: r.take(40, "header"), 40),
-                            (lambda r: r.floats((5,), "label"), 40)):
-            path.write_bytes(bytes(64))
+        for read, size, cut, start, needs, remain in (
+            (lambda r: r.take(40, "header"), 64, 30, 0, 40, 30),
+            (lambda r: r.floats((5,), "label"), 64, 30, 0, 40, 30),
+            # one run of both: the first field is whole, the second is cut
+            (lambda r: r.finite_floats([((2,), "label"), ((3,), "window")]), 64, 30, 16, 24, 14),
+            # cut mid-value in the second block of the first field
+            (lambda r: r.finite_floats([((40_000,), "label"), ((3,), "window")]),
+             8 * 40_003, 8 * 35_000 + 3, 0, 8 * 40_000, 8 * 35_000 + 3),
+        ):
+            path.write_bytes(bytes(size))
             with open(path, "rb") as f:
                 reader = BlobReader(path, f)
-                path.write_bytes(bytes(30))  # cut after the size was taken
+                path.write_bytes(bytes(cut))  # cut after the size was taken
                 with pytest.raises(
                     CorruptionError,
-                    match=rf"samples\.bin: truncated at byte offset 0: \w+ needs {needs} bytes, "
-                    r"30 remain",
+                    match=rf"samples\.bin: truncated at byte offset {start}: \w+ needs {needs} "
+                    rf"bytes, {remain} remain",
                 ):
                     read(reader)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bioaffect import signals
 from bioaffect.errors import IngestError, ValidationError
 from bioaffect.signals import (
     SEGMENT_LEN,
@@ -20,6 +21,8 @@ from bioaffect.signals import (
     segment_for_frames,
     synchronize,
 )
+
+from oracles import bilinear_sample_four_gather
 
 
 def make_trace(samples, hz=128.0, channel=Channel.ECG, start=0.0):
@@ -147,6 +150,48 @@ class TestCropFace:
     def test_needs_two_landmarks(self):
         with pytest.raises(IngestError):
             crop_face(np.zeros((10, 10)), [(1.0, 1.0)])
+
+
+class TestBilinearSample:
+    """The row-then-column sampler gives the four-gather reference's bits."""
+
+    @staticmethod
+    def assert_same_bits(image, ys, xs):
+        got = signals._bilinear_sample(image, ys, xs)
+        want = bilinear_sample_four_gather(image, ys, xs)
+        assert got.shape == want.shape == (len(ys), len(xs))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("shape,out", [((64, 64), (64, 64)), ((48, 80), (64, 64)),
+                                           ((120, 90), (17, 33)), ((1, 7), (3, 5)),
+                                           ((7, 1), (4, 4))])
+    def test_random_grids(self, shape, out):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        image = rng.uniform(0, 1, size=shape)
+        ys = np.sort(rng.uniform(0, shape[0] - 1, size=out[0]))
+        xs = rng.uniform(0, shape[1] - 1, size=out[1])  # unsorted too
+        self.assert_same_bits(image, ys, xs)
+
+    def test_clipped_at_every_edge(self):
+        rng = np.random.default_rng(7)
+        image = rng.standard_normal((30, 45))
+        ys = np.concatenate([[-3.5, -0.0, 0.0, 28.999, 29.0, 29.5, 1e9], rng.uniform(-5, 35, 20)])
+        xs = np.concatenate([[-1e-12, 44.0, 44.25, 60.0], rng.uniform(-5, 50, 30)])
+        self.assert_same_bits(image, ys, xs)
+
+    def test_resize_and_crop_match_the_reference(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        image = rng.uniform(0, 1, size=(96, 128))
+        pts = [(100.0, 2.0), (127.0, 40.0)]  # the margin runs past two edges
+
+        def outputs():
+            return [resize_image(image, 64), resize_image(image, 24),
+                    crop_face(image, pts, side=64)]
+
+        got = outputs()
+        monkeypatch.setattr(signals, "_bilinear_sample", bilinear_sample_four_gather)
+        for g, w in zip(got, outputs()):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 def _session_pieces(n_frames=10, seconds=30.0, hz=128.0):
