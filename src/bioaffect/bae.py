@@ -183,10 +183,11 @@ class PretrainResult:
 
 def _dataset_mse(model: BaeModel, windows: list) -> float:
     total = 0.0
-    for w in windows:
-        z, idx = model.encode_graph(Tensor(np.asarray(w)))
-        recon = model.decode_graph(z, idx)
-        total += reconstruction_loss(w, recon.data)
+    with T.no_tape():
+        for w in windows:
+            z, idx = model.encode_graph(Tensor(np.asarray(w)))
+            recon = model.decode_graph(z, idx)
+            total += reconstruction_loss(w, recon.data)
     return total / len(windows)
 
 

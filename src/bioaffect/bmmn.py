@@ -317,9 +317,12 @@ class BmmnModel:
         return est, recons, originals
 
     def predict(self, inputs) -> AffectEstimate:
-        """Head outputs only: no reconstruction is built, as no loss reads one."""
-        est, _, _ = self._estimate_graph(inputs)
-        return AffectEstimate(est.data.copy())
+        """Head outputs only, from a forward that records no tape: no
+        reconstruction is built, as no loss reads one, and each activation
+        is freed once the next op has read it."""
+        with T.no_tape():
+            est, _, _ = self._estimate_graph(inputs)
+        return AffectEstimate(est.data)
 
 
 def toy_sample(model: BmmnModel, rng: np.random.Generator) -> ModelInput:

@@ -37,7 +37,7 @@ from .files import build_config, read_json, write_json, write_lines
 from .params import ParamStore, load_params, save_params
 from .signals import Channel
 from .session_io import list_sessions, read_samples, session_samples, write_samples
-from .tensor import Tensor
+from .tensor import Tensor, no_tape
 
 _USAGE_ERRORS = (ValidationError, ConfigError, ParseError, IngestError, ShapeError,
                  CorruptionError, FileNotFoundError, NotADirectoryError)
@@ -166,11 +166,8 @@ def _cmd_pretrain_bae(args) -> tuple:
     write_lines(out / "bae_losses.csv", curve_lines)
     if args.dump_latents:
         _dump_latents(models, samples[: args.dump_latents], out)
-    config_hash = (
-        _sha256_file(args.config)
-        if args.config
-        else _sha256_text(json.dumps(asdict(config), sort_keys=True))
-    )
+    # The settings the run used, `--seed` included, whether or not they came from a file.
+    config_hash = _sha256_text(json.dumps(asdict(config), sort_keys=True))
     outputs = [out / "bae.ckpt", out / "bae_losses.csv"]
     return out, config.seed, [args.data], outputs, config_hash
 
@@ -184,8 +181,9 @@ def _dump_latents(models: dict, samples: list, out: Path) -> None:
     for sample in samples:
         for ch, model in models.items():
             window = sample.segments[ch].window
-            z, indices = model.encode_graph(Tensor(window))
-            recon = model.decode_graph(z, indices).data.reshape(-1)
+            with no_tape():
+                z, indices = model.encode_graph(Tensor(window))
+                recon = model.decode_graph(z, indices).data.reshape(-1)
             z_csv = ",".join(repr(float(v)) for v in z.data)
             z_lines.append(f"{sample.frame_index},{ch.value},{z_csv}")
             for pos, (a, b) in enumerate(zip(window, recon)):

@@ -10,6 +10,12 @@ import numpy as np
 # Floats `BlobReader.finite_floats` reads and tests at a time: 256 KB, which
 # stays in a core's cache between the read and the test.
 _BLOCK = 1 << 15
+_U16 = struct.Struct("<H")
+
+
+def _named(field) -> str:
+    """A `BlobReader` field name, given as itself or as the function that returns it."""
+    return field() if callable(field) else field
 
 
 class BioaffectError(Exception):
@@ -58,7 +64,9 @@ class BlobReader:
     the file (or a read that comes back short), a string that is not UTF-8,
     or bytes left after the last field raise a CorruptionError that names
     the path, the field and the byte offset. The caller opens the file, in
-    binary mode, and closes it.
+    binary mode, and closes it. A field's name may be given as a function of
+    no arguments that returns it, so that only an error pays for its
+    formatting.
     """
 
     def __init__(self, path, file):
@@ -68,13 +76,13 @@ class BlobReader:
         self.offset = 0
         self._arena = None
 
-    def _truncated(self, start: int, nbytes: int, field: str, remain: int) -> CorruptionError:
+    def _truncated(self, start: int, nbytes: int, field, remain: int) -> CorruptionError:
         return CorruptionError(
-            f"{self.path}: truncated at byte offset {start}: {field} needs {nbytes} "
+            f"{self.path}: truncated at byte offset {start}: {_named(field)} needs {nbytes} "
             f"bytes, {remain} remain"
         )
 
-    def _claim(self, nbytes: int, field: str) -> int:
+    def _claim(self, nbytes: int, field) -> int:
         """Advance past the next `nbytes`, if they remain; returns where they start."""
         start = self.offset
         if start + nbytes > self.size:
@@ -82,7 +90,7 @@ class BlobReader:
         self.offset = start + nbytes
         return start
 
-    def take(self, nbytes: int, field: str) -> bytes:
+    def take(self, nbytes: int, field) -> bytes:
         start = self._claim(nbytes, field)
         data = self.file.read(nbytes)
         if len(data) != nbytes:
@@ -136,7 +144,7 @@ class BlobReader:
                     i = lo + int(np.flatnonzero(~np.isfinite(block))[0])
                     k = bisect.bisect_right(bounds, i) - 1
                     raise CorruptionError(
-                        f"{self.path}: {fields[k][1]}: non-finite value {flat[i]} "
+                        f"{self.path}: {_named(fields[k][1])}: non-finite value {flat[i]} "
                         f"at byte offset {starts[k] + 8 * (i - bounds[k])}"
                     )
         return [flat[a:b].reshape(shape) for (shape, _), a, b in zip(fields, bounds, bounds[1:])]
@@ -148,12 +156,12 @@ class BlobReader:
         self._arena = self._arena[n:]
         return flat
 
-    def unpack(self, fmt: str, field: str) -> tuple:
+    def unpack(self, fmt: str, field) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), field))
 
     def text(self, field: str) -> str:
         """A u16 byte count, then that many bytes of UTF-8."""
-        (n,) = self.unpack("<H", f"{field} length")
+        (n,) = _U16.unpack(self.take(2, lambda: f"{field} length"))
         start = self.offset
         try:
             return self.take(n, field).decode("utf-8")

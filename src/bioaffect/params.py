@@ -30,6 +30,8 @@ _MAGIC = b"BAPC"
 _VERSION = 1
 # numpy 1.x arrays have at most 32 dimensions (numpy 2.x, 64); parameters here have 1 to 4.
 _MAX_NDIM = 32
+# The shape field of each ndim a checkpoint may hold: ndim little-endian u32s.
+_SHAPES = [struct.Struct(f"<{ndim}I") for ndim in range(_MAX_NDIM + 1)]
 
 
 def _name_key(name: str) -> int:
@@ -153,12 +155,14 @@ def _checkpoint_chunks(store: ParamStore):
 def load_params(path) -> ParamStore:
     """Read a checkpoint written by `save_params`, into tensors without grad buffers.
 
-    The header is read field by field, and the values block by block into
-    one buffer (`BlobReader.finite_floats`) of which the parameters are
-    views, so the peak is about the value bytes. A file cut anywhere, a
-    name that is not UTF-8 or that repeats, an ndim above 32, a value that
-    is NaN or infinite, or bytes after the last value raise a
-    CorruptionError that names the path, the field and the byte offset.
+    The header is read field by field, an entry's ndim and shape as plain
+    bytes, with each field's name formatted only for an error; the values
+    are read block by block into one buffer (`BlobReader.finite_floats`) of
+    which the parameters are views, so the peak is about the value bytes.
+    A file cut anywhere, a name that is not UTF-8 or that repeats, an ndim
+    above 32, a value that is NaN or infinite, or bytes after the last
+    value raise a CorruptionError that names the path, the field and the
+    byte offset.
     """
     path = Path(path)
     with open(path, "rb") as f:
@@ -176,15 +180,17 @@ def load_params(path) -> ParamStore:
                 raise CorruptionError(
                     f"{path}: parameter name {name!r} repeated at byte offset {start}"
                 )
-            (ndim,) = reader.unpack("<B", f"ndim of {name!r}")
+            ndim = reader.take(1, lambda: f"ndim of {name!r}")[0]
             if ndim > _MAX_NDIM:
                 raise CorruptionError(
                     f"{path}: ndim of {name!r} at byte offset {reader.offset - 1} is {ndim}, "
                     f"more than {_MAX_NDIM}"
                 )
-            shapes[name] = reader.unpack(f"<{ndim}I", f"shape of {name!r}")
+            shapes[name] = _SHAPES[ndim].unpack(
+                reader.take(4 * ndim, lambda: f"shape of {name!r}")
+            )
         arrays = reader.finite_floats(
-            [(shape, f"values of {name!r}") for name, shape in shapes.items()]
+            [(shape, lambda name=name: f"values of {name!r}") for name, shape in shapes.items()]
         )
         reader.finish("value")
         store = ParamStore(rng_seed=seed)

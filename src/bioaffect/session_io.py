@@ -68,6 +68,7 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
+    """The 8-bit pixels of a binary PGM, as a read-only (height, width) uint8 array."""
     path = Path(path)
     blob = path.read_bytes()
     if not blob.startswith(b"P5"):
@@ -95,7 +96,7 @@ def read_pgm(path) -> np.ndarray:
     pixels = np.frombuffer(blob[pos : pos + w * h], dtype=np.uint8)
     if pixels.size != w * h:
         raise ParseError(f"{path}: truncated pixel data")
-    return pixels.reshape(h, w).astype(np.float64) / 255.0
+    return pixels.reshape(h, w)
 
 
 _SIGNAL_HEADER = "time_s,value"

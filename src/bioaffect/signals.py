@@ -58,17 +58,23 @@ class SignalTrace:
 
 @dataclass
 class FrameRecord:
-    """One video frame: a grayscale image, with optional face landmarks."""
+    """One video frame: a grayscale image, with optional face landmarks.
+
+    An 8-bit image (uint8, 0 to 255, as a PGM frame is read) is kept as it
+    is, a byte a pixel, until `prepare_face` scales it onto [0, 1]; any
+    other image is taken as float64 values.
+    """
 
     timestamp_s: float
     image: np.ndarray
     landmarks: list | None = None
 
     def __post_init__(self):
-        self.image = np.asarray(self.image, dtype=np.float64)
+        if getattr(self.image, "dtype", None) != np.uint8:
+            self.image = np.asarray(self.image, dtype=np.float64)
         if self.image.ndim != 2:
             raise IngestError(f"frame image must be 2D, got shape {self.image.shape}")
-        if not np.isfinite(self.image).all():
+        if self.image.dtype != np.uint8 and not np.isfinite(self.image).all():
             raise IngestError("frame image contains non-finite values")
 
 
@@ -264,13 +270,20 @@ def crop_face(full_image: np.ndarray, landmarks, side: int = 64) -> np.ndarray:
 
 
 def prepare_face(frame: FrameRecord, side: int = 64) -> FrameRecord:
-    """Crop by landmarks when available, else resize."""
+    """Crop by landmarks when available, else resize.
+
+    The one place where an 8-bit frame becomes float: each pixel divided
+    by 255.0, right before the crop or resize reads the frame.
+    """
+    image = frame.image
+    if image.dtype == np.uint8:
+        image = image.astype(np.float64) / 255.0
     if frame.landmarks:
-        face = crop_face(frame.image, frame.landmarks, side=side)
-    elif frame.image.shape != (side, side):
-        face = resize_image(frame.image, side)
+        face = crop_face(image, frame.landmarks, side=side)
+    elif image.shape != (side, side):
+        face = resize_image(image, side)
     else:
-        face = frame.image
+        face = image
     return FrameRecord(timestamp_s=frame.timestamp_s, image=face)
 
 

@@ -1,16 +1,23 @@
 """Reverse-mode differentiation engine for the fixed network zoo.
 
-Dense float64 arrays with a tape of closures: every operation returns a
-fresh node that references its inputs and knows how to route the output
-gradient back to them. A graph is built per forward pass. References run
-only from a node to its inputs: no backprop closure holds its own output
-node, so the tape is acyclic and a graph is freed by reference counting
-as soon as the caller drops its last node, with no cyclic collection.
-Parameter leaves accumulate gradients across backward calls until
-explicitly zeroed, which is how minibatches are averaged. An interior
-node's grad is released as soon as its backprop has routed it to the
-node's inputs, so a graph backpropagated twice adds each leaf gradient
-exactly twice.
+Dense float64 arrays with a tape of closures. An operation some of whose
+inputs need a gradient returns a fresh node that references its inputs
+and knows how to route the output gradient back to them; its backward
+computes an input's gradient only if that input needs one. An input needs
+one if it is a leaf created with `requires_grad=True` or a recorded node.
+An operation on inputs none of which needs a gradient, and any operation
+inside `no_tape()`, returns a plain leaf and records nothing, so a forward
+that nothing differentiates holds each activation only until the next
+operation has read it.
+
+A graph is built per forward pass. References run only from a node to
+its inputs: no backprop closure holds its own output node, so the tape is
+acyclic and a graph is freed by reference counting as soon as the caller
+drops its last node, with no cyclic collection. Parameter leaves
+accumulate gradients across backward calls until explicitly zeroed, which
+is how minibatches are averaged. An interior node's grad is released as
+soon as its backprop has routed it to the node's inputs, so a graph
+backpropagated twice adds each leaf gradient exactly twice.
 
 The FFT path memoizes each kernel's spectrum on the kernel tensor, next
 to a copy of the values it was computed from. A spectrum is reused only
@@ -45,6 +52,7 @@ would change.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import weakref
 
@@ -127,6 +135,11 @@ class Tensor:
             raise GraphError(
                 f"backward requires a scalar loss, got shape {tuple(self.data.shape)}"
             )
+        if not _needs_grad(self):
+            raise GraphError(
+                "backward on a result that recorded no graph: none of its inputs "
+                "needed a gradient"
+            )
         order = _toposort(self)
         _accumulate(self, np.ones_like(self.data))
         for node in reversed(order):
@@ -144,8 +157,9 @@ class Tensor:
             )
 
         def backprop(g):
-            _accumulate(self, g)
-            _accumulate(other, g)
+            for t in (self, other):
+                if _needs_grad(t):
+                    _accumulate(t, g)
 
         return _node(self.data + other.data, (self, other), backprop)
 
@@ -167,8 +181,36 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+# False inside `no_tape()`, where no op records a node.
+_recording = True
+
+
+@contextlib.contextmanager
+def no_tape():
+    """Within the block, every op returns a plain leaf, whatever its inputs.
+
+    Internal to the package, for forwards that nothing differentiates even
+    though the parameters require grad: a prediction, or a dataset loss
+    that is only reported. The previous setting comes back on leaving the
+    block, by an exception too.
+    """
+    global _recording
+    before = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = before
+
+
+def _needs_grad(t: Tensor) -> bool:
+    """Whether a backward pass must route a gradient to `t`."""
+    return t.requires_grad or t._backprop is not None
+
+
 def _node(data: np.ndarray, parents: tuple, backprop) -> Tensor:
-    """Record one op: a node over `parents` whose gradient `backprop(g)` routes.
+    """One op's output; recorded as a node over `parents`, whose gradient
+    `backprop(g)` routes, only if some parent needs a gradient.
 
     `backprop` receives the node's gradient and must not reference the
     node itself. `_backprop` reaches the node through a weak reference,
@@ -176,9 +218,10 @@ def _node(data: np.ndarray, parents: tuple, backprop) -> Tensor:
     by reference counting.
     """
     out = Tensor(data)
-    out._parents = parents
-    ref = weakref.ref(out)
-    out._backprop = lambda: backprop(ref().grad)
+    if _recording and any(_needs_grad(p) for p in parents):
+        out._parents = parents
+        ref = weakref.ref(out)
+        out._backprop = lambda: backprop(ref().grad)
     return out
 
 
@@ -375,23 +418,26 @@ def _conv1d(x: Tensor, kernels: Tensor, stride: int, full: bool) -> Tensor:
     use_fft = stride == 1 and work > _FFT_WORK_THRESHOLD
     out_data = _correlate(xd, kernels, full, False, out_len, stride, use_fft)
 
-    def backprop(g):
+    def kernel_grad(g):
         if use_fft and full:
-            gw = _conv_pairs(xd[:, ::-1], g).transpose(1, 0, 2)[
+            return _conv_pairs(xd[:, ::-1], g).transpose(1, 0, 2)[
                 :, :, length - 1 : length - 1 + k_width
             ]
-        elif use_fft:
-            gw = _conv_pairs(g[:, ::-1], xd)[:, :, out_len - 1 : out_len - 1 + k_width]
+        if use_fft:
+            return _conv_pairs(g[:, ::-1], xd)[:, :, out_len - 1 : out_len - 1 + k_width]
+        # Tap k is g[:, k : k + length] @ xd.T (full), or g times the
+        # transpose of xd's k-th window (valid): all in one stacked matmul.
+        if full:
+            gw_taps = np.matmul(_windows(g, k_width, length, 1), xd.T)
         else:
-            # Tap k is g[:, k : k + length] @ xd.T (full), or g times the
-            # transpose of xd's k-th window (valid): all in one stacked matmul.
-            if full:
-                gw_taps = np.matmul(_windows(g, k_width, length, 1), xd.T)
-            else:
-                gw_taps = np.matmul(g, _windows(xd, k_width, out_len, stride).transpose(0, 2, 1))
-            gw = np.ascontiguousarray(gw_taps.transpose(1, 2, 0))
-        _accumulate(kernels, gw)
-        _accumulate(x, _correlate(g, kernels, not full, True, length, stride, use_fft))
+            gw_taps = np.matmul(g, _windows(xd, k_width, out_len, stride).transpose(0, 2, 1))
+        return np.ascontiguousarray(gw_taps.transpose(1, 2, 0))
+
+    def backprop(g):
+        if _needs_grad(kernels):
+            _accumulate(kernels, kernel_grad(g))
+        if _needs_grad(x):
+            _accumulate(x, _correlate(g, kernels, not full, True, length, stride, use_fft))
 
     return _node(out_data, (x, kernels), backprop)
 
@@ -455,17 +501,21 @@ def conv2d_valid(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
 
     def backprop(g):
         g2 = g.reshape(c_out, -1)
-        gw = np.empty_like(w)
-        gx = np.zeros_like(xd)
-        for a in range(kh):
-            for b in range(kw):
-                sl = xd[:, a : a + span_h : stride, b : b + span_w : stride]
-                gw[:, :, a, b] = g2 @ sl.reshape(c_in, -1).T
-                gx[:, a : a + span_h : stride, b : b + span_w : stride] += (
-                    w[:, :, a, b].T @ g2
-                ).reshape(c_in, nh, nw)
-        _accumulate(kernels, gw)
-        _accumulate(x, gx)
+        if _needs_grad(kernels):
+            gw = np.empty_like(w)
+            for a in range(kh):
+                for b in range(kw):
+                    sl = xd[:, a : a + span_h : stride, b : b + span_w : stride]
+                    gw[:, :, a, b] = g2 @ sl.reshape(c_in, -1).T
+            _accumulate(kernels, gw)
+        if _needs_grad(x):
+            gx = np.zeros_like(xd)
+            for a in range(kh):
+                for b in range(kw):
+                    gx[:, a : a + span_h : stride, b : b + span_w : stride] += (
+                        w[:, :, a, b].T @ g2
+                    ).reshape(c_in, nh, nw)
+            _accumulate(x, gx)
 
     return _node(out_flat.reshape(c_out, nh, nw), (x, kernels), backprop)
 
@@ -514,12 +564,14 @@ def _scatter_add(flat: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarr
 
 
 def _pool_source(x: Tensor) -> np.ndarray:
-    """What a pool of `x` reads, now and when its backward finds the winners.
+    """What a pool of `x` reads, now and when its backward (or a read of its
+    `PoolIndices`) finds the winners.
 
-    A leaf's values may be written in place before then (an optimizer
-    step, a finite-difference probe), so a leaf is pooled from a copy.
+    The values of a leaf that requires grad may be written in place before
+    then (an optimizer step, a finite-difference probe), so such a leaf is
+    pooled from a copy; a node, recorded or not, from its own data.
     """
-    return x.data if x._parents else x.data.copy()
+    return x.data.copy() if x.requires_grad else x.data
 
 
 def maxpool1d(x: Tensor, window: int, stride: int) -> tuple:
@@ -634,9 +686,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         )
 
     def backprop(g):
-        _accumulate(x, weight.data.T @ g)
-        _accumulate_outer(weight, g, x.data)
-        _accumulate(bias, g)
+        if _needs_grad(x):
+            _accumulate(x, weight.data.T @ g)
+        if _needs_grad(weight):
+            _accumulate_outer(weight, g, x.data)
+        if _needs_grad(bias):
+            _accumulate(bias, g)
 
     return _node(weight.data @ x.data + bias.data, (x, weight, bias), backprop)
 
@@ -652,9 +707,11 @@ def add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
     shaped = bias.data.reshape((-1,) + (1,) * (x.data.ndim - 1))
 
     def backprop(g):
-        _accumulate(x, g)
-        trailing = tuple(range(1, x.data.ndim))
-        _accumulate(bias, g.sum(axis=trailing) if trailing else g)
+        if _needs_grad(x):
+            _accumulate(x, g)
+        if _needs_grad(bias):
+            trailing = tuple(range(1, x.data.ndim))
+            _accumulate(bias, g.sum(axis=trailing) if trailing else g)
 
     return _node(x.data + shaped, (x, bias), backprop)
 
@@ -684,9 +741,10 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
     def backprop(g):
         for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(start, stop)
-            _accumulate(p, g[tuple(sl)])
+            if _needs_grad(p):
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(start, stop)
+                _accumulate(p, g[tuple(sl)])
 
     out_data = np.concatenate([p.data for p in parts], axis=axis)
     return _node(out_data, tuple(parts), backprop)
@@ -727,7 +785,9 @@ def mse_loss(pred: Tensor, target) -> Tensor:
 
     def backprop(g):
         g_pred = g * scale * diff
-        _accumulate(pred, g_pred)
-        _accumulate(target, -g_pred)
+        if _needs_grad(pred):
+            _accumulate(pred, g_pred)
+        if _needs_grad(target):
+            _accumulate(target, -g_pred)
 
     return _node(np.array(np.mean(diff * diff)), (pred, target), backprop)

@@ -29,9 +29,11 @@ class TestBackward:
         assert abs(w.grad[0, 0] - expected) < 1e-12
 
     def test_constant_loss_leaves_grads_zero(self):
+        # A loss of constants records no graph, so a backward over it is refused.
         p = Tensor(np.ones(4), requires_grad=True)
         loss = T.mse_loss(Tensor(np.zeros(3)), Tensor(np.zeros(3)))
-        loss.backward()
+        with pytest.raises(GraphError, match="recorded no graph"):
+            loss.backward()
         np.testing.assert_array_equal(p.grad, 0.0)
 
     def test_unreachable_parameter_stays_zero(self):
@@ -46,6 +48,17 @@ class TestBackward:
     def test_backward_requires_scalar(self):
         with pytest.raises(GraphError, match="scalar"):
             Tensor(np.zeros(3)).backward()
+
+    def test_backward_on_a_loss_built_without_a_tape_raises(self):
+        p = Tensor(np.array([1.0]), requires_grad=True)
+        with T.no_tape():
+            loss = T.mse_loss(p * 2.0, Tensor(np.zeros(1)))
+        assert loss._parents == () and loss._backprop is None
+        with pytest.raises(GraphError, match="recorded no graph"):
+            loss.backward()
+        np.testing.assert_array_equal(p.grad, 0.0)
+        p.backward()  # a scalar leaf that requires grad is its own graph
+        assert p.grad[0] == 1.0
 
     def test_grads_accumulate_across_calls(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
@@ -64,8 +77,9 @@ class TestBackward:
         assert p.grad[0] == 16.0
 
     def test_first_grad_is_a_fresh_array_with_the_bits_of_zeros_plus_g(self):
-        # add_channel_bias hands its output gradient straight to its input.
-        x = Tensor(np.zeros((2, 3)))
+        # add_channel_bias hands its output gradient straight to its input,
+        # here a recorded node, which holds no gradient before a backward.
+        x = T.reshape(Tensor(np.zeros(6), requires_grad=True), (2, 3))
         out = T.add_channel_bias(x, Tensor(np.zeros(2)))
         g = np.array([[-0.0, 1.5, -2.0], [0.0, -0.0, 3.0]])
         out.grad = g
@@ -274,6 +288,7 @@ class TestCheckpoint:
             21: (20, "parameter name length"),
             24: (22, "parameter name"),
             second + 2: (second + 2, "parameter name"),
+            second + 3: (second + 3, "ndim of 'b'"),
             values - 2: (values - 4, "shape of 'b'"),
             values + 8: (values, "values of 'enc.w'"),
             len(blob) - 1: (len(blob) - 32, "values of 'b'"),
@@ -350,8 +365,10 @@ class TestLinearWeightGradient:
         x = rng.normal(size=shape[1])
         g[: min(7, shape[0])] = _OUTER_SPECIALS[: min(7, shape[0])]
         x[:7] = _OUTER_SPECIALS
-        w = Tensor(rng.normal(size=shape))
-        if held == "zeros":
+        w = Tensor(rng.normal(size=shape), requires_grad=True)
+        if held == "none":
+            w.grad = None
+        elif held == "zeros":
             w.grad = -np.zeros(shape)  # -0.0 + -0.0 keeps its sign
         elif held == "values":
             w.grad = rng.normal(size=shape)

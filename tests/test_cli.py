@@ -200,6 +200,27 @@ class TestTrainManifest:
         assert bae1 != config_hash("bae2", "m2")
 
 
+class TestPretrainManifest:
+    def test_config_hash_covers_the_seed(self, processed, tmp_path):
+        _, samples = processed
+        pcfg = tmp_path / "pretrain.json"
+        pcfg.write_text(json.dumps({**PRETRAIN_CONFIG, "epochs": 0}))
+
+        def config_hash(name, *flags):
+            out = tmp_path / name
+            assert dispatch(["pretrain-bae", "--data", str(samples), "--out", str(out),
+                             *flags]) == 0
+            return json.loads((out / "manifest.json").read_text())["config_sha256"]
+
+        def settings_hash(**fields):
+            text = json.dumps({**PRETRAIN_CONFIG, "epochs": 0, **fields}, sort_keys=True)
+            return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+        assert config_hash("s1", "--config", str(pcfg), "--seed", "1") == settings_hash(seed=1)
+        assert config_hash("s2", "--config", str(pcfg), "--seed", "2") == settings_hash(seed=2)
+        assert config_hash("file", "--config", str(pcfg)) == settings_hash()
+
+
 class TestPretrainAndJointTrain:
     def test_pretrain_then_bae2(self, processed, tmp_path):
         _, samples = processed

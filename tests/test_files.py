@@ -140,11 +140,12 @@ class TestCutWriters:
         assert sorted(os.listdir(tmp_path)) == ["samples.bin", "samples.bin.json"]
 
 
-def _source_lines_matching(pattern):
-    """`(module, enclosing top-level def, "line: text")` for each match outside files.py."""
+def _source_lines_matching(pattern, skip=("files.py",)):
+    """`(module, enclosing top-level def, "line: text")` for each match outside
+    the modules in `skip` (by default files.py)."""
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "files.py":
+        if path.name in skip:
             continue
         func = ""
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):
@@ -178,6 +179,18 @@ def test_only_the_files_module_reads_text():
     # The signal CSV's block parse hands numpy its path (see the loadtxt rule
     # below) and checks the header in binary, so no text open is left.
     assert _source_lines_matching(_TEXT_OPENS) == []
+
+
+def test_only_prepare_face_scales_eight_bit_pixels():
+    # Frames stay uint8 from the PGM reader to the face crop; one division
+    # by 255 turns them into floats, so no second scaling can creep in.
+    pattern = re.compile(r"/\s*255\b")
+    for line in ("image / 255.0", "x /255", "a.astype(np.float64) / 255"):
+        assert pattern.search(line), line
+    for line in ("x * 255.0", "x / 2550", "1 / 25", "maxval != 255"):
+        assert not pattern.search(line), line
+    found = _source_lines_matching(pattern, skip=())
+    assert [(module, func) for module, func, _ in found] == [("signals.py", "prepare_face")]
 
 
 def _loadtxt_calls(source: str) -> list:

@@ -68,8 +68,8 @@ class TestPgm:
         path = tmp_path / "x.pgm"
         write_pgm(path, img)
         back = read_pgm(path)
-        assert back.shape == (12, 17)
-        assert np.abs(back - img).max() <= 0.5 / 255.0 + 1e-12
+        assert back.dtype == np.uint8 and back.shape == (12, 17)
+        assert np.abs(back / 255.0 - img).max() <= 0.5 / 255.0 + 1e-12
 
     def test_rejects_non_pgm(self, tmp_path):
         path = tmp_path / "bad.pgm"

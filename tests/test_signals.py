@@ -15,6 +15,7 @@ from bioaffect.signals import (
     SyncedSample,
     crop_face,
     label_targets,
+    prepare_face,
     resample,
     rescale,
     resize_image,
@@ -150,6 +151,35 @@ class TestCropFace:
     def test_needs_two_landmarks(self):
         with pytest.raises(IngestError):
             crop_face(np.zeros((10, 10)), [(1.0, 1.0)])
+
+
+class TestEightBitFrames:
+    """A uint8 frame stays 8-bit until `prepare_face`, which gives the bits
+    that the same pixels as float64 / 255.0 give."""
+
+    @pytest.mark.parametrize("shape, landmarks", [
+        ((48, 64), [(10.0, 8.0), (41.0, 37.0), (25.0, 30.0)]),  # crop
+        ((48, 64), None),  # resize
+        ((16, 16), None),  # already the face size: passed through
+    ])
+    def test_prepare_face_gives_the_bits_of_the_float_frame(self, shape, landmarks):
+        pixels = np.random.default_rng(shape[0]).integers(0, 256, shape, dtype=np.uint8)
+        frame = FrameRecord(timestamp_s=1.0, image=pixels, landmarks=landmarks)
+        assert frame.image is pixels
+        as_float = FrameRecord(1.0, pixels.astype(np.float64) / 255.0, landmarks)
+        face = prepare_face(frame, side=16).image
+        want = prepare_face(as_float, side=16).image
+        assert face.dtype == np.float64 and face.shape == (16, 16)
+        assert np.array_equal(face.view(np.uint64), want.view(np.uint64))
+
+    def test_synchronized_faces_are_float(self):
+        pixels = np.full((20, 20), 255, dtype=np.uint8)
+        traces = {c: make_trace(np.linspace(0.0, 1.0, 400), channel=c)
+                  for c in (Channel.ECG, Channel.EDA)}
+        frames = [FrameRecord(timestamp_s=1.0, image=pixels)]
+        (sample,) = synchronize(traces, frames, AffectLabel(5, 5, 5), "p", "s", face_size=20)
+        assert sample.face.image.dtype == np.float64
+        np.testing.assert_array_equal(sample.face.image, 1.0)
 
 
 class TestBilinearSample:

@@ -356,7 +356,7 @@ class TestMaxPool2d:
     def test_matches_direct_loop(self, shape, window, stride):
         rng = np.random.default_rng(17)
         x = rng.integers(-2, 3, size=shape).astype(np.float64)  # many ties
-        xt = Tensor(x)
+        xt = Tensor(x, requires_grad=True)
         out = T.maxpool2d(xt, window, stride)
         ref_out, rows, cols = maxpool2d_direct(x, window, stride)
         np.testing.assert_array_equal(out.data, ref_out)
@@ -545,7 +545,7 @@ class TestKernelsMatchReplacedFormulation:
     def test_maxpool1d(self, shape, window, stride, kind):
         x = _pool_input(kind, shape, seed=shape[1] + window)
         ref_out, ref_src = _maxpool1d_reference(x, window, stride)
-        xt = Tensor(x)
+        xt = Tensor(x, requires_grad=True)
         out, idx = T.maxpool1d(xt, window, stride)
         _assert_same_bits(out.data, ref_out)
         _assert_same_bits(idx.indices, ref_src)
@@ -560,7 +560,7 @@ class TestKernelsMatchReplacedFormulation:
     def test_maxpool2d(self, shape, window, stride, kind):
         x = _pool_input(kind, shape, seed=shape[1] + window)
         ref_out, ref_index = _maxpool2d_reference(x, window, stride)
-        xt = Tensor(x)
+        xt = Tensor(x, requires_grad=True)
         out = T.maxpool2d(xt, window, stride)
         _assert_same_bits(out.data, ref_out)
         g = np.random.default_rng(2).normal(size=out.shape)
@@ -578,7 +578,7 @@ class TestKernelsMatchReplacedFormulation:
         pooled, idx = T.maxpool1d(Tensor(x), window, stride)
         v = np.random.default_rng(3).normal(size=pooled.shape)
         rows = np.arange(shape[0])[:, None]
-        vt = Tensor(v)
+        vt = Tensor(v, requires_grad=True)
         out = T.unpool1d(vt, idx, target_len=shape[1])
         _assert_same_bits(out.data, _add_at_reference(shape, (rows, idx.indices), v))
         g = np.random.default_rng(4).normal(size=shape)
@@ -596,7 +596,7 @@ class TestKernelsMatchReplacedFormulation:
         rng = np.random.default_rng(5)
         x = rng.normal(size=x_shape)
         w = rng.normal(size=w_shape)
-        xt, wt = Tensor(x), Tensor(w)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
         out = T.conv2d_valid(xt, wt, stride=stride)
         g = rng.normal(size=out.shape)
         ref_out, ref_gw, ref_gx = _conv2d_reference(x, w, stride, g)
@@ -611,7 +611,7 @@ class TestKernelsMatchReplacedFormulation:
     def test_conv1d(self, x_shape, w_shape, stride, full, kind):
         rng = np.random.default_rng(x_shape[1] + w_shape[2] + stride)
         x, w = _conv_input(kind, x_shape, rng), _conv_input(kind, w_shape, rng)
-        xt, wt = Tensor(x), Tensor(w)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
         out = T.conv1d_full(xt, wt) if full else T.conv1d_valid(xt, wt, stride=stride)
         g = _conv_input(kind, out.shape, rng)
         ref_out, ref_gw, ref_gx = _conv1d_reference(x, w, stride, full, g)
