@@ -43,9 +43,10 @@ def create_convs(store: ParamStore, prefix: str, blocks, first: int = 1) -> None
 
 
 def conv_relu(store: ParamStore, prefix: str, i: int, conv, h: Tensor) -> Tensor:
-    """relu(conv(h, w) + b) with block i's `{prefix}conv{i}` parameters."""
+    """relu(conv(h, w) + b) with block i's `{prefix}conv{i}` parameters: a
+    conv node, then one bias-ReLU node."""
     h = conv(h, store[f"{prefix}conv{i}.w"])
-    return T.relu(T.add_channel_bias(h, store[f"{prefix}conv{i}.b"]))
+    return T.bias_relu(h, store[f"{prefix}conv{i}.b"])
 
 
 @dataclass(frozen=True)

@@ -274,12 +274,14 @@ class BmmnModel:
             )
         return T.linear(merged, self.store["head.fc.w"], self.store["head.fc.b"])
 
-    def _estimate_graph(self, inputs) -> tuple:
+    def _estimate_graph(self, inputs, decoding: bool = True) -> tuple:
         """Build the graph up to the head; returns (estimate, codes, originals).
 
         `codes` maps each channel to its encoder's (latent, pool indices)
-        when the auto-encoders take part in the active variant; nothing
-        is decoded here.
+        when the auto-encoders take part in the active variant and the
+        caller is `decoding`; nothing is decoded here. Otherwise each
+        encoder's pool indices, and the pooled maps they read, are dropped
+        as the encoder returns.
         """
         if not isinstance(inputs, ModelInput):
             inputs = ModelInput.from_sample(inputs)
@@ -297,10 +299,12 @@ class BmmnModel:
                 if ch not in inputs.windows:
                     raise GraphError(f"latent stream: missing channel {ch.value}")
                 window = np.asarray(inputs.windows[ch])
-                z, idx = self.baes[ch].encode_graph(Tensor(window))
+                z, indices = self.baes[ch].encode_graph(Tensor(window))
                 streams.append(z)
-                codes[ch] = (z, idx)
-                originals[ch] = window
+                if decoding:
+                    codes[ch] = (z, indices)
+                    originals[ch] = window
+                del indices
         if "spatial" in active:
             streams.append(self.spatial_forward(inputs.face_image))
         est = self.head_forward(streams)
@@ -321,7 +325,7 @@ class BmmnModel:
         reconstruction is built, as no loss reads one, and each activation
         is freed once the next op has read it."""
         with T.no_tape():
-            est, _, _ = self._estimate_graph(inputs)
+            est, _, _ = self._estimate_graph(inputs, decoding=False)
         return AffectEstimate(est.data)
 
 

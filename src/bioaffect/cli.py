@@ -51,10 +51,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -102,7 +98,8 @@ def _cmd_synth(args) -> tuple:
     else:
         sessions = [synth.gen_therapy_session(spec, out)]
     print(f"wrote {len(sessions)} session(s) under {out}")
-    return out, spec.rng_seed, [args.spec], [out], _sha256_file(args.spec)
+    config_hash = _sha256_text(json.dumps(asdict(spec), sort_keys=True))
+    return out, spec.rng_seed, [args.spec], [out], config_hash
 
 
 def _cmd_preprocess(args) -> tuple:

@@ -167,6 +167,17 @@ def _case_relu(rng):
     return make, {"x": x}
 
 
+def _case_bias_relu(rng):
+    x = _t(rng, 3, 4, 5)
+    b = _t(rng, 3)
+    target = rng.uniform(-1, 1, size=(3, 4, 5))
+
+    def make():
+        return T.mse_loss(T.bias_relu(x, b), target)
+
+    return make, {"x": x, "b": b}
+
+
 def _case_concat_flatten(rng):
     a = _t(rng, 2, 3)
     b = _t(rng, 2, 5)
@@ -261,6 +272,7 @@ CASES = {
     "linear": _case_linear,
     "add_channel_bias": _case_add_channel_bias,
     "relu": _case_relu,
+    "bias_relu": _case_bias_relu,
     "concat_flatten": _case_concat_flatten,
     "mse_loss": _case_mse_loss,
     "scalar_combination": _case_scalar_combination,

@@ -99,7 +99,9 @@ def fit(store: ParamStore, n_items: int, epochs: int, batch_size: int, lr: float
     each batch zeroes the grads, backpropagates every loss scaled by
     1 / |batch| and takes one `adam_step`. A non-finite item loss, or a
     non-finite gradient before the step, raises NonFiniteError naming the
-    epoch, the batch and the item or the first such parameter.
+    epoch, the batch and the item or the first such parameter; the grads
+    are then left for inspection. On return every grad buffer is released,
+    so a trained store holds values only, as a loaded one does.
     """
     state = AdamState(store, lr=lr)
     history = []
@@ -124,4 +126,6 @@ def fit(store: ParamStore, n_items: int, epochs: int, batch_size: int, lr: float
             # Summed in order from 0.0: the builtin `sum` compensates on Python >= 3.12.
             batch_means.append([reduce(add, col, 0.0) / batch.size for col in zip(*rows)])
         history.append([reduce(add, col, 0.0) / len(batch_means) for col in zip(*batch_means)])
+    for _, p in store.items():
+        p.grad = None
     return history

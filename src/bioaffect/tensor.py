@@ -74,6 +74,7 @@ __all__ = [
     "linear",
     "add_channel_bias",
     "relu",
+    "bias_relu",
     "concat",
     "flatten",
     "reshape",
@@ -325,12 +326,26 @@ def _kernel_spectrum(kernels: Tensor, view: str, n: int) -> np.ndarray:
     return spectra[key]
 
 
-def _conv_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """convfull(a[i], b[j]) for every pair -> (I, J, La + Lb - 1)."""
+# Complex products per row block of `_conv_pairs` (16 bytes each: 512 KB).
+_PAIRS_BLOCK = 32768
+
+
+def _conv_pairs(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """convfull(a[i], b[j])[lo:hi] for every pair -> (I, J, hi - lo).
+
+    The pair spectra and their `irfft` are formed one block of rows of `a`
+    at a time, about `_PAIRS_BLOCK` products each; every row's `irfft` is
+    the one a single call over all pairs makes.
+    """
     n = a.shape[1] + b.shape[1] - 1
     a_f = np.fft.rfft(a, n)
     b_f = np.fft.rfft(b, n)
-    return np.fft.irfft(a_f[:, None, :] * b_f[None, :, :], n)
+    out = np.empty((a.shape[0], b.shape[0], hi - lo))
+    rows = max(1, _PAIRS_BLOCK // b_f.size)
+    for start in range(0, a.shape[0], rows):
+        block = a_f[start : start + rows, None, :] * b_f[None, :, :]
+        out[start : start + rows] = np.fft.irfft(block, n)[:, :, lo:hi]
+    return out
 
 
 def _windows(a: np.ndarray, width: int, count: int, stride: int) -> np.ndarray:
@@ -420,11 +435,10 @@ def _conv1d(x: Tensor, kernels: Tensor, stride: int, full: bool) -> Tensor:
 
     def kernel_grad(g):
         if use_fft and full:
-            return _conv_pairs(xd[:, ::-1], g).transpose(1, 0, 2)[
-                :, :, length - 1 : length - 1 + k_width
-            ]
+            lags = _conv_pairs(xd[:, ::-1], g, length - 1, length - 1 + k_width)
+            return lags.transpose(1, 0, 2)
         if use_fft:
-            return _conv_pairs(g[:, ::-1], xd)[:, :, out_len - 1 : out_len - 1 + k_width]
+            return _conv_pairs(g[:, ::-1], xd, out_len - 1, out_len - 1 + k_width)
         # Tap k is g[:, k : k + length] @ xd.T (full), or g times the
         # transpose of xd's k-th window (valid): all in one stacked matmul.
         if full:
@@ -696,24 +710,30 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _node(weight.data @ x.data + bias.data, (x, weight, bias), backprop)
 
 
+def _channel_bias(op: str, x: Tensor, bias: Tensor) -> np.ndarray:
+    """`bias` shaped to broadcast over `x`'s trailing axes, one entry per channel."""
+    if bias.data.ndim != 1 or bias.data.shape[0] != x.data.shape[0]:
+        raise ShapeError(
+            f"{op}: bias length {bias.data.shape} != channels "
+            f"(axis 0) = {x.data.shape[0]}"
+        )
+    return bias.data.reshape((-1,) + (1,) * (x.data.ndim - 1))
+
+
+def _route_channel_bias(x: Tensor, bias: Tensor, g: np.ndarray) -> None:
+    """Backward of `x + bias` per channel: `x` gets g, `bias` g's sum over the trailing axes."""
+    if _needs_grad(x):
+        _accumulate(x, g)
+    if _needs_grad(bias):
+        trailing = tuple(range(1, g.ndim))
+        _accumulate(bias, g.sum(axis=trailing) if trailing else g)
+
+
 def add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
     """Add one bias per leading-axis channel, broadcast over trailing axes."""
     x, bias = as_tensor(x), as_tensor(bias)
-    if bias.data.ndim != 1 or bias.data.shape[0] != x.data.shape[0]:
-        raise ShapeError(
-            f"add_channel_bias: bias length {bias.data.shape} != channels "
-            f"(axis 0) = {x.data.shape[0]}"
-        )
-    shaped = bias.data.reshape((-1,) + (1,) * (x.data.ndim - 1))
-
-    def backprop(g):
-        if _needs_grad(x):
-            _accumulate(x, g)
-        if _needs_grad(bias):
-            trailing = tuple(range(1, x.data.ndim))
-            _accumulate(bias, g.sum(axis=trailing) if trailing else g)
-
-    return _node(x.data + shaped, (x, bias), backprop)
+    shaped = _channel_bias("add_channel_bias", x, bias)
+    return _node(x.data + shaped, (x, bias), lambda g: _route_channel_bias(x, bias, g))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -729,6 +749,27 @@ def relu(x: Tensor) -> Tensor:
         _accumulate(x, g * (out_data > 0))
 
     return _node(out_data, (x,), backprop)
+
+
+def bias_relu(x: Tensor, bias: Tensor) -> Tensor:
+    """relu(add_channel_bias(x, bias)) as one node, with the bits of the two.
+
+    The node holds only its output, not the pre-activation: the output is
+    positive exactly where the pre-activation is. Its backward hands `x`
+    and `bias` the gradient the ReLU node of the chain would have passed
+    them, `g * (out > 0) + 0.0`.
+    """
+    x, bias = as_tensor(x), as_tensor(bias)
+    out_data = x.data + _channel_bias("bias_relu", x, bias)
+    np.fmax(out_data, 0.0, out=out_data)
+    out_data += 0.0
+
+    def backprop(g):
+        g_pre = g * (out_data > 0)
+        g_pre += 0.0
+        _route_channel_bias(x, bias, g_pre)
+
+    return _node(out_data, (x, bias), backprop)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

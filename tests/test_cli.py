@@ -80,6 +80,21 @@ class TestSynth:
         assert dispatch(["synth", "--spec", str(spec_path), "--out", str(out)]) == 0
         assert (out / "patient00_therapy").is_dir()
 
+    def test_config_hash_covers_the_seed(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**TRIALS_SPEC, "n_subjects": 1, "trials_per_subject": 1,
+                                         "trial_seconds": 5.0}))
+
+        def config_hash(name, seed):
+            out = tmp_path / name
+            assert dispatch(["synth", "--spec", str(spec_path), "--out", str(out),
+                             "--seed", seed]) == 0
+            return json.loads((out / "manifest.json").read_text())["config_sha256"]
+
+        first = config_hash("s1", "1")
+        assert first == config_hash("s1_again", "1")
+        assert first != config_hash("s2", "2")
+
     def test_unknown_kind_is_validation_error(self, tmp_path):
         spec_path = tmp_path / "bad.json"
         spec_path.write_text(json.dumps({"kind": "wat"}))

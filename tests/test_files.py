@@ -193,6 +193,18 @@ def test_only_prepare_face_scales_eight_bit_pixels():
     assert [(module, func) for module, func, _ in found] == [("signals.py", "prepare_face")]
 
 
+def test_conv_blocks_use_the_one_bias_relu_node():
+    # A conv block is a conv node plus one `bias_relu` node; the two-node
+    # chain is only for the engine itself and its gradient check.
+    pattern = re.compile(r"\badd_channel_bias\(")
+    for line in ("T.add_channel_bias(h, b)", "relu(add_channel_bias(x, bias))"):
+        assert pattern.search(line), line
+    for line in ("T.bias_relu(h, b)", "_channel_bias(op, x, bias)", '"add_channel_bias": case'):
+        assert not pattern.search(line), line
+    found = _source_lines_matching(pattern, skip=("tensor.py", "gradcheck.py"))
+    assert found == []
+
+
 def _loadtxt_calls(source: str) -> list:
     """`(enclosing function, first argument, whether it is a path)` for each
     `np.loadtxt(` call in `source`. A path is a name the function binds to

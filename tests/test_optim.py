@@ -62,6 +62,24 @@ def test_fit_matches_an_explicit_loop():
         assert t.data.tobytes() == expected_store[name].data.tobytes(), name
 
 
+def test_fit_releases_the_grad_buffers_and_the_store_trains_on():
+    # A second fit allocates the buffers again and gives the bits of a loop
+    # that kept them throughout.
+    expected_store = _store()
+    expected = _explicit_loop(expected_store) + _explicit_loop(expected_store)
+    store = _store()
+    history = []
+    for _ in range(2):
+        history += fit(
+            store, N_ITEMS, EPOCHS, BATCH, LR, np.random.default_rng(9),
+            lambda j: _item_loss(store, j),
+        )
+        assert all(t.grad is None for _, t in store.items())
+    assert history == expected
+    for name, t in store.items():
+        assert t.data.tobytes() == expected_store[name].data.tobytes(), name
+
+
 def test_fit_with_no_epochs_leaves_the_store_alone():
     store = _store()
     before = {name: t.data.copy() for name, t in store.items()}
@@ -87,6 +105,7 @@ def test_fit_stops_at_a_non_finite_loss():
         NonFiniteError, match=f"epoch 0, batch {_batch_of(3)}, item 3: loss is nan"
     ):
         fit(store, N_ITEMS, EPOCHS, BATCH, LR, np.random.default_rng(9), item_loss)
+    assert all(t.grad is not None for _, t in store.items())  # kept for inspection
 
 
 def test_fit_stops_at_a_non_finite_gradient_before_the_step():
@@ -109,6 +128,7 @@ def test_fit_stops_at_a_non_finite_gradient_before_the_step():
     ):
         fit(store, N_ITEMS, EPOCHS, BATCH, LR, np.random.default_rng(9), item_loss)
     assert np.isfinite(store["w"].data).all()  # the step with an infinite gradient was not taken
+    assert not np.isfinite(store["w"].grad).all()  # the gradient stays for inspection
 
 
 # --- blockwise Adam -----------------------------------------------------------

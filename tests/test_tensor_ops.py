@@ -591,6 +591,8 @@ class TestKernelsMatchReplacedFormulation:
         ((1, 64, 64), (8, 1, 3, 3), 2),
         ((1, 11, 9), (3, 1, 2, 3), 2),
         ((3, 12, 12), (4, 3, 3, 3), 1),
+        ((8, 31, 31), (16, 8, 3, 3), 1),  # face CNN conv2
+        ((16, 14, 14), (32, 16, 3, 3), 1),  # face CNN conv3
     ])
     def test_conv2d_valid(self, x_shape, w_shape, stride):
         rng = np.random.default_rng(5)
@@ -620,6 +622,56 @@ class TestKernelsMatchReplacedFormulation:
         out._backprop()
         _assert_same_bits(wt.grad, np.zeros(w.shape) + ref_gw)
         _assert_same_bits(xt.grad, np.zeros(x.shape) + ref_gx)
+
+    @pytest.mark.parametrize("kind", ["normal", "zeros", "signed_zeros", "nans"])
+    @pytest.mark.parametrize("shape", [
+        (4, 801), (16, 801), (8, 301), (2, 26), (1, 1000),  # 1-D conv maps
+        (8, 62, 62), (32, 12, 12),  # face CNN maps
+        (5,),
+    ])
+    def test_bias_relu(self, shape, kind):
+        rng = np.random.default_rng(math.prod(shape))
+        x, b = _conv_input(kind, shape, rng), _conv_input(kind, shape[:1], rng)
+        g = _conv_input(kind, shape, rng)
+        g.flat[rng.choice(g.size, max(1, g.size // 8), replace=False)] = -0.0
+        got = {}
+        for fused in (False, True):
+            xt, bt = Tensor(x, requires_grad=True), Tensor(b, requires_grad=True)
+            xt.grad = None  # as for the conv node in front of it
+            out = T.bias_relu(xt, bt) if fused else T.relu(T.add_channel_bias(xt, bt))
+            out.grad = g
+            for node in reversed(T._toposort(out)):
+                if node._backprop is not None:
+                    node._backprop()
+            got[fused] = (out.data, xt.grad, bt.grad)
+        for fused, chain in zip(got[True], got[False]):
+            _assert_same_bits(fused, chain)
+
+    @pytest.mark.parametrize("block", [None, 1])
+    @pytest.mark.parametrize("x_shape, w_shape, full", [
+        ((1, 1000), (16, 1, 200), False),  # BAE encoder conv1
+        ((16, 400), (8, 16, 100), False),  # BAE encoder conv2
+        ((8, 301), (16, 8, 100), True),  # BAE decoder conv5
+    ])
+    def test_fft_kernel_gradient(self, x_shape, w_shape, full, block, monkeypatch):
+        # The kernel gradient's pair products and their irfft, formed in row
+        # blocks (of one row with `block` 1), against one irfft over all pairs.
+        if block is not None:
+            monkeypatch.setattr(T, "_PAIRS_BLOCK", block)
+        rng = np.random.default_rng(x_shape[1] + w_shape[2])
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+        xt, wt = Tensor(x), Tensor(w, requires_grad=True)
+        wt.grad = None
+        out = T.conv1d_full(xt, wt) if full else T.conv1d_valid(xt, wt)
+        g = rng.normal(size=out.shape)
+        out.grad = g
+        out._backprop()
+        a, b = (x[:, ::-1], g) if full else (g[:, ::-1], x)
+        n = a.shape[1] + b.shape[1] - 1
+        pairs = np.fft.irfft(np.fft.rfft(a, n)[:, None, :] * np.fft.rfft(b, n)[None], n)
+        lo = (x_shape[1] if full else out.shape[1]) - 1
+        want = pairs.transpose(1, 0, 2) if full else pairs
+        _assert_same_bits(wt.grad, want[:, :, lo : lo + w_shape[2]] + 0.0)
 
     @pytest.mark.parametrize("op", ["maxpool1d", "maxpool2d", "unpool1d"])
     def test_leaf_written_after_pooling_keeps_routing(self, op):
