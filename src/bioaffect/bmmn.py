@@ -141,7 +141,8 @@ class ModelInput:
 
     @classmethod
     def from_sample(cls, sample) -> "ModelInput":
-        """Accepts anything sample-shaped: segments dict plus a face record."""
+        """Accepts anything sample-shaped: segments dict plus a face record,
+        whose `image` is read once (a synchronized sample crops it then)."""
         return cls(
             windows={c: sample.segments[c].window for c in sample.segments},
             face_image=sample.face.image,

@@ -29,6 +29,7 @@ JSON sidecar. Record layout (little-endian):
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 import warnings
 from pathlib import Path
@@ -104,6 +105,8 @@ _SIGNAL_HEADER = "time_s,value"
 # file; the line reader, like every other reader here, reads it as it is.
 _NUMPY_DECOMPRESSES = (".gz", ".bz2", ".xz", ".lzma")
 _FRAMES_HEADER = "frame_index,timestamp_s"
+# Rows per block of a signal CSV's checks and of its in-place compaction.
+_CHECK_ROWS = 1 << 16
 
 
 def write_signal_csv(path, trace: SignalTrace) -> None:
@@ -139,7 +142,42 @@ def _row_line(path, header: str, row: int) -> int:
     return lineno
 
 
+def _check_rows(path, rows: np.ndarray) -> None:
+    """Refuse timestamps that are not finite and strictly increasing, and
+    non-finite values, naming the `file:line` of the first such row.
+
+    `rows` is checked a block of rows at a time, so no full-length
+    temporary is made. The order test is written `not t[k+1] > t[k]`,
+    which a NaN fails too.
+    """
+    n = len(rows)
+    for lo in range(0, n, _CHECK_ROWS):
+        hi = min(lo + _CHECK_ROWS, n)
+        t = rows[lo : hi + 1, 0]
+        bad = ~(t[1:] > t[:-1])
+        if bad.any():
+            k = lo + int(np.argmax(bad))
+            row = k if np.isnan(rows[k, 0]) else k + 1
+            why = ("timestamp is not a number" if np.isnan(rows[row, 0])
+                   else "timestamps must be strictly increasing")
+            raise ParseError(f"{path}:{_row_line(path, _SIGNAL_HEADER, row)}: {why}")
+        bad = ~np.isfinite(rows[lo:hi, 1])
+        if bad.any():
+            row = lo + int(np.argmax(bad))
+            raise ParseError(f"{path}:{_row_line(path, _SIGNAL_HEADER, row)}: "
+                             f"sample value {float(rows[row, 1])!r} is not finite")
+    for row in (0, n - 1):  # increasing times can be infinite only at the ends
+        if not np.isfinite(rows[row, 0]):
+            raise ParseError(f"{path}:{_row_line(path, _SIGNAL_HEADER, row)}: "
+                             f"timestamp {float(rows[row, 0])!r} is not finite")
+
+
 def read_signal_csv(path, channel: Channel) -> SignalTrace:
+    """One channel's trace, read with no full-length array past the parse buffer.
+
+    The samples are that buffer's value column, moved to its front; the
+    buffer is then shrunk to them.
+    """
     path = Path(path)
     # The body is parsed in one block read: `np.loadtxt` is given the path,
     # so its C reader pulls the file in blocks rather than one Python line
@@ -160,17 +198,25 @@ def read_signal_csv(path, channel: Channel) -> SignalTrace:
         except (ValueError, UserWarning):  # UnicodeDecodeError is a ValueError
             pass
     if rows is None or rows.shape[1] != 2:
+        # An (N, 2) array that owns its buffer when N > 0 (a reshape would
+        # be a view, which cannot be shrunk in place).
         rows = np.array(_pair_rows(path, _SIGNAL_HEADER, float, "non-numeric field"),
-                        dtype=np.float64).reshape(-1, 2)
-    times_arr = rows[:, 0]
-    values = np.ascontiguousarray(rows[:, 1])
-    if len(values) < 2:
-        raise ParseError(f"{path}: need at least 2 samples, got {len(values)}")
-    dt = np.diff(times_arr)
-    if (dt <= 0).any():
-        lineno = _row_line(path, _SIGNAL_HEADER, int(np.argmax(dt <= 0)) + 1)
-        raise ParseError(f"{path}:{lineno}: timestamps must be strictly increasing")
-    rate = (len(times_arr) - 1) / (times_arr[-1] - times_arr[0])
+                        dtype=np.float64)
+    n = len(rows)
+    if n < 2:
+        raise ParseError(f"{path}: need at least 2 samples, got {n}")
+    _check_rows(path, rows)
+    start, end = float(rows[0, 0]), float(rows[-1, 0])
+    # Compact the value column to the front, a block at a time in order: a
+    # block's writes land below every later block's reads, and numpy buffers
+    # a block whose source and destination overlap.
+    flat = rows.reshape(-1)
+    for lo in range(0, n, _CHECK_ROWS):
+        hi = min(lo + _CHECK_ROWS, n)
+        flat[lo:hi] = flat[2 * lo + 1 : 2 * hi : 2]
+    del flat
+    rows.resize(n)  # now the samples; refuses if any view of the buffer is still alive
+    rate = (n - 1) / (end - start)
     for supported in SUPPORTED_SOURCE_HZ:
         if abs(rate - supported) / supported < 0.01:
             rate = supported
@@ -180,7 +226,7 @@ def read_signal_csv(path, channel: Channel) -> SignalTrace:
             f"{path}: sample rate {rate:.2f} Hz not in supported set "
             f"{SUPPORTED_SOURCE_HZ}"
         )
-    return SignalTrace(channel, rate, values, start_time_s=float(times_arr[0]))
+    return SignalTrace(channel, rate, rows, start_time_s=start)
 
 
 def _read_landmarks_csv(path) -> dict:
@@ -259,6 +305,10 @@ def load_session(session_dir) -> SessionData:
     if not frames_csv.exists():
         raise IngestError(f"missing frames index: {frames_csv}")
     rows = _pair_rows(frames_csv, _FRAMES_HEADER, int, "bad frame row")
+    for row, (idx, t) in enumerate(rows):
+        if not math.isfinite(t):
+            lineno = _row_line(frames_csv, _FRAMES_HEADER, row)
+            raise ParseError(f"{frames_csv}:{lineno}: frame {idx} timestamp {t!r} is not finite")
     # Frames in index order; each index once, each timestamp after the last.
     order = sorted(range(len(rows)), key=rows.__getitem__)
     for a, b in zip(order, order[1:]):
@@ -336,11 +386,12 @@ def _sample_chunks(samples: list):
         yield np.ascontiguousarray(label_vec, dtype="<f8").tobytes()
         for channel in (Channel.ECG, Channel.EDA):
             yield np.ascontiguousarray(s.segments[channel].window, dtype="<f8").tobytes()
-        side = s.face.image.shape[0]
-        if s.face.image.shape != (side, side):
+        image = s.face.image  # one read, one crop: only this sample's face is held
+        side = image.shape[0]
+        if image.shape != (side, side):
             raise IngestError("processed face images must be square")
         yield struct.pack("<BI", 0, side)
-        yield np.ascontiguousarray(s.face.image, dtype="<f8").tobytes()
+        yield np.ascontiguousarray(image, dtype="<f8").tobytes()
 
 
 def read_samples(path) -> list:

@@ -53,7 +53,15 @@ class SignalTrace:
         return self.samples.size / self.sample_rate_hz
 
     def sample_times(self) -> np.ndarray:
-        return self.start_time_s + np.arange(self.samples.size) / self.sample_rate_hz
+        return _time_grid(self.start_time_s, self.samples.size, self.sample_rate_hz)
+
+
+def _time_grid(start: float, n: int, rate: float) -> np.ndarray:
+    """The bits of `start + np.arange(n) / rate`, built as one array."""
+    grid = np.arange(n, dtype=np.float64)
+    grid /= rate
+    grid += start
+    return grid
 
 
 @dataclass
@@ -125,10 +133,14 @@ class BioSegment:
 
 @dataclass
 class SyncedSample:
-    """One training instance: per-channel segments + face + label."""
+    """One training instance: per-channel segments + face + label.
+
+    `face` is the prepared face (a FrameRecord, from `read_samples`) or a
+    `FaceCrop` (from `synchronize`); both have `timestamp_s` and `image`.
+    """
 
     segments: dict
-    face: FrameRecord
+    face: FrameRecord | FaceCrop
     label: AffectLabel
     subject_id: str
     session_id: str
@@ -163,7 +175,7 @@ def resample(trace: SignalTrace, target_hz: float) -> SignalTrace:
         return trace
     n_out = max(1, int(round(trace.samples.size * target_hz / trace.sample_rate_hz)))
     t_src = trace.sample_times()
-    t_out = trace.start_time_s + np.arange(n_out) / target_hz
+    t_out = _time_grid(trace.start_time_s, n_out, target_hz)
     resampled = np.interp(t_out, t_src, trace.samples)
     return SignalTrace(trace.channel, float(target_hz), resampled, trace.start_time_s)
 
@@ -243,9 +255,8 @@ def resize_image(image: np.ndarray, side: int) -> np.ndarray:
     return _bilinear_sample(image, ys, xs)
 
 
-def crop_face(full_image: np.ndarray, landmarks, side: int = 64) -> np.ndarray:
-    """Landmark bounding box + 20% margin, clamped, resized to side x side."""
-    full_image = np.asarray(full_image, dtype=np.float64)
+def _landmark_box(landmarks) -> tuple:
+    """`(x0, y0, x1, y1)`, the bounding box of at least two landmarks with an area."""
     pts = np.asarray(landmarks, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise IngestError("need at least two (x, y) landmarks to crop")
@@ -253,6 +264,13 @@ def crop_face(full_image: np.ndarray, landmarks, side: int = 64) -> np.ndarray:
     x1, y1 = pts[:, 0].max(), pts[:, 1].max()
     if x1 <= x0 or y1 <= y0:
         raise IngestError("degenerate landmark box (zero area)")
+    return x0, y0, x1, y1
+
+
+def crop_face(full_image: np.ndarray, landmarks, side: int = 64) -> np.ndarray:
+    """Landmark bounding box + 20% margin, clamped, resized to side x side."""
+    full_image = np.asarray(full_image, dtype=np.float64)
+    x0, y0, x1, y1 = _landmark_box(landmarks)
     mx = 0.2 * (x1 - x0)
     my = 0.2 * (y1 - y0)
     h, w = full_image.shape
@@ -287,6 +305,29 @@ def prepare_face(frame: FrameRecord, side: int = 64) -> FrameRecord:
     return FrameRecord(timestamp_s=frame.timestamp_s, image=face)
 
 
+class FaceCrop:
+    """A synchronized sample's face: `prepare_face(frame, side)`, made each
+    time `image` is read and not kept, so a sample holds its frame as read
+    (a byte a pixel for a PGM frame) rather than a float64 face.
+
+    `timestamp_s` is a plain attribute: sorting and windowing samples by
+    time never crop. Landmarks that cannot be cropped are refused here.
+    """
+
+    __slots__ = ("frame", "side", "timestamp_s")
+
+    def __init__(self, frame: FrameRecord, side: int):
+        if frame.landmarks:
+            _landmark_box(frame.landmarks)
+        self.frame = frame
+        self.side = side
+        self.timestamp_s = frame.timestamp_s
+
+    @property
+    def image(self) -> np.ndarray:
+        return prepare_face(self.frame, side=self.side).image
+
+
 def synchronize(
     traces: dict,
     frames: list,
@@ -300,7 +341,8 @@ def synchronize(
 
     Both channels must be present and already resampled to a common rate
     and scaled to [0, 1]; the session label is replicated onto every
-    sample.
+    sample. Each sample's face is a `FaceCrop` of its frame, cropped when
+    it is read.
     """
     missing = [c.value for c in (Channel.ECG, Channel.EDA) if c not in traces]
     if missing:
@@ -322,7 +364,7 @@ def synchronize(
         samples.append(
             SyncedSample(
                 segments={c: per_channel[c][i] for c in per_channel},
-                face=prepare_face(frame, side=face_size),
+                face=FaceCrop(frame, face_size),
                 label=label,
                 subject_id=subject_id,
                 session_id=session_id,

@@ -432,6 +432,35 @@ class TestMalformedInputs:
         assert "window_minutes" in capsys.readouterr().err
         assert not Path(str(tmp_path / "assessment") + ".json").exists()
 
+    @pytest.mark.parametrize("damaged, row, field, message", [
+        ("frames/frames.csv", 1, 1, "frame 1 timestamp nan is not finite"),
+        ("patient00_therapy_EDA.csv", 500, 0, "timestamp is not a number"),
+        ("patient00_therapy_ECG.csv", 700, 1, "sample value nan is not finite"),
+    ])
+    def test_non_finite_session_field_exits_1(self, tmp_path, capsys, damaged, row, field,
+                                              message):
+        from bioaffect.bmmn import BmmnModel, save_model
+
+        model_dir = tmp_path / "model"
+        save_model(BmmnModel.build_toy("bmmn"), model_dir)
+        spec = tmp_path / "therapy.json"
+        spec.write_text(json.dumps({"kind": "therapy", "minutes": 1.0, "fps": 0.2}))
+        assert dispatch(["synth", "--spec", str(spec), "--out", str(tmp_path / "t")]) == 0
+        session = tmp_path / "t" / "patient00_therapy"
+        path = session / damaged
+        lines = path.read_text().splitlines()
+        parts = lines[row + 1].split(",")
+        parts[field] = "nan"
+        lines[row + 1] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "assessment"
+        with np.errstate(all="raise", under="ignore"):  # as `main` sets them
+            code = dispatch(["assess", "--model", str(model_dir), "--session", str(session),
+                             "--out", str(out)])
+        assert code == 1
+        assert f"{path}:{row + 2}: {message}" in capsys.readouterr().err
+        assert not Path(str(out) + ".json").exists()
+
     @pytest.mark.parametrize("damage, message", [
         (lambda text: text[: len(text) // 2], "invalid JSON"),
         (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "bae_arch"}),

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from bioaffect import session_io
+from bioaffect import session_io, synth
 from bioaffect.errors import CorruptionError, IngestError, ParseError, ValidationError
 from bioaffect.session_io import (
     list_sessions,
@@ -78,11 +78,12 @@ class TestPgm:
             read_pgm(path)
 
 
-def _signal_body(sep="\n", end="\n", row="{t!r},{v!r}"):
-    """A `time_s,value` file at 128 Hz: rows `row` joined by `sep`, then `end`."""
+def _signal_body(sep="\n", end="\n", row="{t!r},{v!r}", n=400, start=0.0):
+    """A `time_s,value` file of `n` rows at 128 Hz from `start` s: rows `row`
+    joined by `sep`, then `end`."""
     rng = np.random.default_rng(12)
-    rows = [row.format(t=i / 128.0, v=float(v))
-            for i, v in enumerate(rng.standard_normal(400) * 1e3)]
+    rows = [row.format(t=start + i / 128.0, v=float(v))
+            for i, v in enumerate(rng.standard_normal(n) * 1e3)]
     return ("time_s,value" + sep + sep.join(rows) + end).encode("ascii")
 
 
@@ -95,12 +96,18 @@ _SIGNAL_BODIES = {
     "trailing-blank-lines": _signal_body(end="\n\n\r\n"),
     "spaced": _signal_body(row=" {t!r} , {v!r} "),
     "exponent": _signal_body(row="{t:.16e},{v:.17E}"),
+    "odd-rows-late-start": _signal_body(n=401, start=12.3),
 }
+# Rows per block of the checks and the in-place compaction: one row, a
+# block that overlaps its source, and the module's own.
+_BLOCKS = [1, 7, session_io._CHECK_ROWS]
 
 
 class TestSignalCsv:
+    @pytest.mark.parametrize("block", _BLOCKS)
     @pytest.mark.parametrize("body", _SIGNAL_BODIES.values(), ids=_SIGNAL_BODIES.keys())
-    def test_block_parse_gives_the_line_readers_bits(self, tmp_path, monkeypatch, body):
+    def test_block_parse_gives_the_line_readers_bits(self, tmp_path, monkeypatch, body, block):
+        monkeypatch.setattr(session_io, "_CHECK_ROWS", block)
         path = tmp_path / "sig.csv"
         path.write_bytes(body)
         rows = np.array(session_io._pair_rows(path, "time_s,value", float, "bad"))
@@ -111,6 +118,31 @@ class TestSignalCsv:
         assert line_reads == []
         assert np.array_equal(trace.samples.view(np.uint64),
                               np.ascontiguousarray(rows[:, 1]).view(np.uint64))
+        assert trace.sample_rate_hz == 128.0
+        assert np.float64(trace.start_time_s).view(np.uint64) == rows[0, 0].view(np.uint64)
+
+    @pytest.mark.parametrize("block", _BLOCKS)
+    def test_line_reader_path_gives_the_same_bits(self, tmp_path, monkeypatch, block):
+        # A whitespace-only line sends the file to the line reader, whose
+        # (N, 2) array is turned into the samples in place as the block
+        # parse's is.
+        monkeypatch.setattr(session_io, "_CHECK_ROWS", block)
+        body = _SIGNAL_BODIES["odd-rows-late-start"]
+        lines = body.split(b"\n")
+        lines.insert(200, b" \t ")
+        path = tmp_path / "sig.csv"
+        path.write_bytes(b"\n".join(lines))
+        line_read = session_io._pair_rows
+        line_reads = []
+        monkeypatch.setattr(session_io, "_pair_rows",
+                            lambda *args: line_reads.append(args) or line_read(*args))
+        trace = read_signal_csv(path, Channel.ECG)
+        assert len(line_reads) == 1
+        rows = np.array(line_read(path, "time_s,value", float, "bad"))
+        assert len(rows) == 401
+        assert np.array_equal(trace.samples.view(np.uint64),
+                              np.ascontiguousarray(rows[:, 1]).view(np.uint64))
+        assert trace.samples.flags.owndata and trace.samples.flags.c_contiguous
         assert trace.sample_rate_hz == 128.0
         assert np.float64(trace.start_time_s).view(np.uint64) == rows[0, 0].view(np.uint64)
 
@@ -160,6 +192,28 @@ class TestSignalCsv:
         path = tmp_path / "wide.csv"
         path.write_text("time_s,value\n0.0,1.0\n0.0078125,2.0\n0.015625,3.0,4.0\n")
         with pytest.raises(ParseError, match=r"wide\.csv:4: expected 2 fields, got 3"):
+            read_signal_csv(path, Channel.ECG)
+
+    @pytest.mark.parametrize("block", _BLOCKS)
+    @pytest.mark.parametrize("row, time, value, why", [
+        (0, "nan", "1.0", "timestamp is not a number"),
+        (501, "nan", "1.0", "timestamp is not a number"),
+        (1999, "nan", "1.0", "timestamp is not a number"),
+        (0, "-inf", "1.0", "timestamp -inf is not finite"),
+        (1999, "inf", "1.0", "timestamp inf is not finite"),
+        (0, None, "nan", "sample value nan is not finite"),
+        (700, None, "inf", "sample value inf is not finite"),
+        (1999, None, "-inf", "sample value -inf is not finite"),
+    ])
+    def test_non_finite_field_reports_file_line(self, tmp_path, monkeypatch, block,
+                                                row, time, value, why):
+        # 2,000 rows at 800 Hz; data row `row` is on line row + 2.
+        monkeypatch.setattr(session_io, "_CHECK_ROWS", block)
+        rows = [f"{i / 800.0!r},0.5" for i in range(2000)]
+        rows[row] = f"{time or repr(row / 800.0)},{value}"
+        path = tmp_path / "nf.csv"
+        path.write_text("time_s,value\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match=rf"nf\.csv:{row + 2}: {why}$"):
             read_signal_csv(path, Channel.ECG)
 
     def test_repeated_timestamp_after_blank_line_reports_file_line(self, tmp_path):
@@ -247,6 +301,19 @@ class TestLoadSession:
         with pytest.raises(ParseError, match=rf"frames\.csv:{line}: {why}$"):
             load_session(session_dir)
 
+    @pytest.mark.parametrize("row, time", [(0, "nan"), (1, "nan"), (2, "inf"), (1, "-inf")])
+    def test_non_finite_frame_time_reports_file_line(self, tmp_path, row, time):
+        # frames.csv holds frames 0, 1 and 2 on lines 2 to 4; the order check
+        # alone would pass a NaN, which fails every comparison.
+        session_dir = write_minimal_session(tmp_path)
+        frames_csv = session_dir / "frames" / "frames.csv"
+        lines = frames_csv.read_text().splitlines()
+        lines[row + 1] = f"{row},{time}"
+        frames_csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rf"frames\.csv:{row + 2}: frame {row} "
+                                             rf"timestamp {time} is not finite$"):
+            load_session(session_dir)
+
     def test_non_numeric_valence_reports_labels_line(self, tmp_path):
         session_dir = write_minimal_session(tmp_path)
         good = (tmp_path / "labels.jsonl").read_text()
@@ -265,6 +332,29 @@ class TestLoadSession:
         write_samples(tmp_path / "hand.bin", by_hand)
         write_samples(tmp_path / "one.bin", session_samples(session_dir, face_size, alignment))
         assert (tmp_path / "one.bin").read_bytes() == (tmp_path / "hand.bin").read_bytes()
+
+    def test_ingest_peak_is_about_the_raw_session(self, tmp_path):
+        # A 2-minute 800 Hz therapy session: load it, resample and rescale its
+        # traces and synchronize its frames, as `bioaffect assess` does. The
+        # chain peaks at 1.73x the bytes `load_session` returns (2.33x when
+        # each CSV's parse was copied and every face cropped up front).
+        import tracemalloc
+
+        spec = synth.TherapySpec(rng_seed=1, minutes=2.0, fps=0.25, signal_hz=800.0)
+        session_dir = synth.gen_therapy_session(spec, tmp_path)
+        tracemalloc.start()
+        try:
+            data = load_session(session_dir)
+            traces = {c: rescale(resample(t, MODEL_HZ)) for c, t in data.traces.items()}
+            samples = synchronize(traces, data.frames, data.label, data.subject_id,
+                                  data.session_id)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        raw = (sum(t.samples.nbytes for t in data.traces.values())
+               + sum(f.image.nbytes for f in data.frames))
+        assert len(samples) == 30
+        assert peak <= 1.8 * raw, peak / raw
 
     def test_list_sessions_sorted(self, tmp_path):
         write_minimal_session(tmp_path, session="b_t00")
@@ -309,6 +399,26 @@ class TestProcessedContainer:
         sidecar = json.loads((tmp_path / "samples.bin.json").read_text())
         assert sidecar["n_samples"] == 4
         assert sidecar["note"] == "t"
+
+    # sha256 of the samples file of a fixed two-session corpus, as written
+    # when every face was cropped up front; cropping each face as it is
+    # written must give the same bytes.
+    @pytest.mark.parametrize("face_size, alignment, digest", [
+        (64, "centered", "ee2fcc1460c190355a1ded252f10022ef951b36d4770841b67957224c241f8d9"),
+        (40, "trailing", "30be02b2b4af67250fd0e13fc6a0a2cefa9cba6565cd6540fe67a30d81cbd9ac"),
+    ], ids=["64-centered", "40-trailing"])
+    def test_synchronized_samples_write_the_pinned_bytes(self, tmp_path, face_size,
+                                                         alignment, digest):
+        import hashlib
+
+        spec = synth.SynthSpec(n_subjects=1, trials_per_subject=2, trial_seconds=6.0,
+                               rng_seed=3, fps=0.5)
+        synth.gen_dataset(spec, tmp_path / "corpus")
+        samples = [s for d in list_sessions(tmp_path / "corpus")
+                   for s in session_samples(d, face_size, alignment)]
+        path = tmp_path / "samples.bin"
+        write_samples(path, samples)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_bytes_deterministic(self, tmp_path):
         samples = [_sample(i) for i in range(2)]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bioaffect import signals
+from bioaffect import bmmn, signals
 from bioaffect.errors import IngestError, ValidationError
 from bioaffect.signals import (
     SEGMENT_LEN,
@@ -58,6 +58,19 @@ class TestResample:
     def test_bad_target(self):
         with pytest.raises(IngestError):
             resample(make_trace(np.zeros(10)), 0.0)
+
+    @pytest.mark.parametrize("n, hz, start", [
+        (8001, 800.0, 0.0), (1000, 128.0, 12.3), (7, 800.0, -4.1), (96000, 800.0, 1e-9),
+    ])
+    def test_time_grids_give_the_bits_of_the_arange_formula(self, n, hz, start):
+        samples = np.random.default_rng(n).uniform(0, 1, n)
+        trace = make_trace(samples, hz=hz, start=start)
+        want = start + np.arange(n) / hz
+        assert np.array_equal(trace.sample_times().view(np.uint64), want.view(np.uint64))
+        out = resample(trace, 128.0)
+        t_out = start + np.arange(out.samples.size) / 128.0
+        want = np.interp(t_out, start + np.arange(n) / hz, samples)
+        assert np.array_equal(out.samples.view(np.uint64), want.view(np.uint64))
 
 
 class TestRescale:
@@ -288,6 +301,32 @@ class TestSynchronize:
         ]
         samples = synchronize(traces, frames, label, "p", "s", face_size=32)
         assert samples[0].face.image.shape == (32, 32)
+
+    @pytest.mark.parametrize("landmarks", [[(10.0, 8.0), (61.0, 57.0)], None])
+    def test_a_face_is_cropped_from_its_frame_each_time_it_is_read(self, landmarks):
+        traces, _, label = _session_pieces()
+        rng = np.random.default_rng(4)
+        frames = [FrameRecord(timestamp_s=1.0 + i, image=rng.integers(0, 256, (72, 80), np.uint8),
+                              landmarks=landmarks) for i in range(3)]
+        samples = synchronize(traces, frames, label, "p", "s", face_size=32)
+        for sample, frame in zip(samples, frames):
+            want = prepare_face(frame, side=32).image.view(np.uint64)
+            assert sample.face.timestamp_s == frame.timestamp_s
+            first = sample.face.image
+            assert np.array_equal(first.view(np.uint64), want)
+            # Not kept: a second read crops again, to the same bits.
+            assert sample.face.image is not first
+            assert np.array_equal(sample.face.image.view(np.uint64), want)
+            # The model input holds the crop that its one read made.
+            model_input = bmmn.ModelInput.from_sample(sample)
+            assert np.array_equal(model_input.face_image.view(np.uint64), want)
+
+    def test_uncroppable_landmarks_refused_when_synchronized(self):
+        traces, _, label = _session_pieces()
+        frames = [FrameRecord(timestamp_s=2.0, image=np.zeros((80, 80), np.uint8),
+                              landmarks=[(8.0, 8.0), (8.0, 71.0)])]
+        with pytest.raises(IngestError, match="degenerate"):
+            synchronize(traces, frames, label, "p", "s")
 
 
 class TestDomainTypes:
