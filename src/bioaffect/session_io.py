@@ -13,17 +13,30 @@ session:
         landmarks.csv          optional, "frame_index,x0,y0,x1,y1,..."
 
 Preprocessed samples are stored in a versioned binary record file with a
-JSON sidecar. Record layout (little-endian):
+JSON sidecar. The windows that `synchronize` cuts from one session's
+channel overlap, so the file stores each stretch of scaled trace that a
+run of overlapping windows covers once, as a span, and each sample names a
+span and an offset per channel. Record layout (little-endian):
 
     magic    4 bytes b"BAFS"
-    u32      format version (1)
+    u32      format version (2)
     u32      sample count
     u32      segment length
+    u32      span count
+    then per span, numbered from 0 in the order the samples first use them:
+      u8 channel (0 ECG, 1 EDA), u32 length n (at least the segment
+      length), n x f64 scaled trace.
     then per sample:
       u16+utf8 subject id, u16+utf8 session id, u32 frame index,
       f64 timestamp, 10 x f64 label (valence, arousal, liking, emotions),
-      segment length x f64 ECG window, segment length x f64 EDA window,
-      u8 face kind (always 0: an image), u32 side, side*side x f64 image.
+      u32 ECG span index, u32 offset of the ECG window in that span,
+      u32 EDA span index, u32 offset of the EDA window,
+      u32 side, side*side x f64 face image.
+
+`read_samples` returns each window as a view into its span, so the windows
+of one session share one buffer. A version-1 file, which stored every
+window in full, is refused (exit 1): re-run `bioaffect preprocess` to
+rewrite it.
 """
 
 from __future__ import annotations
@@ -54,7 +67,9 @@ from .signals import (
 )
 
 _SAMPLES_MAGIC = b"BAFS"
-_SAMPLES_VERSION = 1
+_SAMPLES_VERSION = 2
+# The channels of a sample in file order; a span's channel byte indexes it.
+_CHANNELS = (Channel.ECG, Channel.EDA)
 
 
 # --- primitive file formats -------------------------------------------------
@@ -215,7 +230,11 @@ def read_signal_csv(path, channel: Channel) -> SignalTrace:
         hi = min(lo + _CHECK_ROWS, n)
         flat[lo:hi] = flat[2 * lo + 1 : 2 * hi : 2]
     del flat
-    rows.resize(n)  # now the samples; refuses if any view of the buffer is still alive
+    # Now the samples. No view of the buffer is left (`flat` was the last;
+    # `_check_rows` keeps none), so numpy's reference check is skipped: it
+    # also counts the reference a trace or profile hook holds, and would
+    # refuse under coverage, pdb or cProfile.
+    rows.resize(n, refcheck=False)
     rate = (n - 1) / (end - start)
     for supported in SUPPORTED_SOURCE_HZ:
         if abs(rate - supported) / supported < 0.01:
@@ -373,10 +392,68 @@ def write_samples(path, samples: list, extra_meta: dict | None = None) -> None:
     write_json(path.with_suffix(path.suffix + ".json"), meta)
 
 
+def _window_source(window: np.ndarray) -> tuple:
+    """`(array, offset)`: the contiguous float64 array whose floats from
+    `offset` on `window` views, or `(window, 0)` if it views no such array."""
+    base = window.base
+    if (isinstance(base, np.ndarray) and base.dtype == np.float64
+            and base.flags.c_contiguous and window.flags.c_contiguous):
+        offset, rem = divmod(window.__array_interface__["data"][0]
+                             - base.__array_interface__["data"][0], 8)
+        if rem == 0 and 0 <= offset <= base.size - window.size:
+            return base, offset
+    return window, 0
+
+
+class _Span:
+    """A run of overlapping windows of one channel in one array: `array`'s
+    floats `start:end`, first used by sample `first`."""
+
+    __slots__ = ("code", "array", "start", "end", "first", "index")
+
+    def __init__(self, code, array, start, first):
+        self.code, self.array, self.start, self.first = code, array, start, first
+
+
+def _spans(samples: list) -> tuple:
+    """The spans to store, in file order, and each sample's `(span, offset)`
+    per channel.
+
+    Per channel, the windows that view one array are taken in order of
+    their start; a window that overlaps the run before it joins that run's
+    span, and any other starts a new one. Spans that `read_samples` placed
+    side by side in its buffer therefore stay apart when rewritten, so a
+    file read and written again keeps its bytes.
+    """
+    views = {}  # (channel code, id(array)) -> (array, [(offset, sample position)])
+    for pos, s in enumerate(samples):
+        for code, channel in enumerate(_CHANNELS):
+            array, offset = _window_source(s.segments[channel].window)
+            views.setdefault((code, id(array)), (array, []))[1].append((offset, pos))
+    spans, refs = [], [[None] * len(_CHANNELS) for _ in samples]
+    for (code, _), (array, starts) in views.items():
+        span = None
+        for offset, pos in sorted(starts):
+            if span is None or offset >= span.end:
+                span = _Span(code, array, offset, pos)
+                spans.append(span)
+            span.end = offset + SEGMENT_LEN
+            span.first = min(span.first, pos)
+            refs[pos][code] = (span, offset - span.start)
+    spans.sort(key=lambda sp: (sp.first, sp.code))
+    for index, span in enumerate(spans):
+        span.index = index
+    return spans, refs
+
+
 def _sample_chunks(samples: list):
+    spans, refs = _spans(samples)
     yield _SAMPLES_MAGIC
-    yield struct.pack("<III", _SAMPLES_VERSION, len(samples), SEGMENT_LEN)
-    for s in samples:
+    yield struct.pack("<IIII", _SAMPLES_VERSION, len(samples), SEGMENT_LEN, len(spans))
+    for span in spans:
+        yield struct.pack("<BI", span.code, span.end - span.start)
+        yield np.ascontiguousarray(span.array.reshape(-1)[span.start : span.end], dtype="<f8")
+    for s, sample_refs in zip(samples, refs):
         yield _pack_str(s.subject_id)
         yield _pack_str(s.session_id)
         yield struct.pack("<Id", s.frame_index, s.face.timestamp_s)
@@ -384,25 +461,36 @@ def _sample_chunks(samples: list):
             [[s.label.valence, s.label.arousal, s.label.liking], s.label.emotions]
         )
         yield np.ascontiguousarray(label_vec, dtype="<f8").tobytes()
-        for channel in (Channel.ECG, Channel.EDA):
-            yield np.ascontiguousarray(s.segments[channel].window, dtype="<f8").tobytes()
+        (ecg, ecg_at), (eda, eda_at) = sample_refs
+        yield struct.pack("<IIII", ecg.index, ecg_at, eda.index, eda_at)
         image = s.face.image  # one read, one crop: only this sample's face is held
         side = image.shape[0]
         if image.shape != (side, side):
             raise IngestError("processed face images must be square")
-        yield struct.pack("<BI", 0, side)
+        yield struct.pack("<I", side)
         yield np.ascontiguousarray(image, dtype="<f8").tobytes()
+
+
+def _scaled_trace(values: np.ndarray) -> np.ndarray:
+    """`values`, which must lie in [0, 1] as a scaled trace does (a NaN does not)."""
+    if not (values.min() >= 0.0 and values.max() <= 1.0):
+        raise ValidationError("scaled trace values must lie in [0, 1]")
+    return values
 
 
 def read_samples(path) -> list:
     """Read a processed-sample file written by `write_samples`.
 
     The file is read field by field, and the arrays straight into one
-    buffer (`BlobReader.floats`) of which they are views, so the peak is
-    about the bytes of the arrays returned. A file cut anywhere, an id that
-    is not UTF-8, a face kind other than 0, a value its type refuses (one
-    not finite, or out of its range) or bytes after the last sample raise a
-    CorruptionError that names the path, the field and the byte offset.
+    buffer (`BlobReader.floats`) of which they are views: each window is a
+    view into its span, so the peak is about the bytes of the spans, labels
+    and faces. A file cut anywhere, a version other than 2, an id that is
+    not UTF-8, a span of an unknown channel or shorter than a window, a
+    window whose span index is out of range, whose span holds the other
+    channel or whose offset runs past its span, a value its type refuses
+    (one not finite, or out of its range) or bytes after the last sample
+    raise a CorruptionError that names the path, the field and the byte
+    offset.
     """
     path = Path(path)
     with open(path, "rb") as f:
@@ -417,30 +505,59 @@ def read_samples(path) -> list:
                 raise CorruptionError(f"{path}: {field} at byte offset {start}: {exc}") from None
 
         if reader.take(4, "magic") != _SAMPLES_MAGIC:
-            raise CorruptionError(f"{path}: not a processed-sample file (bad magic)")
+            raise CorruptionError(f"{path}: not a processed-sample file (bad magic at byte offset 0)")
         version, count, seg_len = reader.unpack("<III", "header")
+        if version == 1:
+            raise CorruptionError(
+                f"{path}: sample file version 1 (byte offset 4) is no longer read; "
+                f"re-run `bioaffect preprocess` to rewrite it as version {_SAMPLES_VERSION}"
+            )
         if version != _SAMPLES_VERSION:
-            raise CorruptionError(f"{path}: unsupported sample file version {version}")
+            raise CorruptionError(
+                f"{path}: unsupported sample file version {version} at byte offset 4"
+            )
         if seg_len != SEGMENT_LEN:
             raise CorruptionError(
-                f"{path}: segment length {seg_len} != expected {SEGMENT_LEN}"
+                f"{path}: segment length {seg_len} at byte offset 12 != expected {SEGMENT_LEN}"
             )
-        windows = [(c, f"{c.value} window") for c in (Channel.ECG, Channel.EDA)]
+        (n_spans,) = reader.unpack("<I", "span count")
+        spans = []
+        for k in range(n_spans):
+            code, length = reader.unpack("<BI", "span header")
+            if code >= len(_CHANNELS):
+                why = f"unknown channel {code}"
+            elif length < seg_len:
+                why = f"{length} samples, fewer than one window"
+            else:
+                why = None
+            if why:
+                raise CorruptionError(f"{path}: span {k} at byte offset {reader.offset - 5}: {why}")
+            channel = _CHANNELS[code]
+            spans.append((channel, checked(_scaled_trace, (length,), f"{channel.value} span {k}")))
+        window_fields = [(c, f"{c.value} window") for c in _CHANNELS]
         samples = []
         for _ in range(count):
             subject_id = reader.text("subject id")
             session_id = reader.text("session id")
             frame_index, timestamp = reader.unpack("<Id", "frame index and timestamp")
             label = checked(lambda v: AffectLabel(v[0], v[1], v[2], v[3:10]), (10,), "label")
-            segments = {
-                channel: checked(lambda w: BioSegment(channel, w, frame_index), (seg_len,), field)
-                for channel, field in windows
-            }
-            kind, side = reader.unpack("<BI", "face header")
-            if kind != 0:
-                raise CorruptionError(
-                    f"{path}: unknown face payload kind {kind} at byte offset {reader.offset - 5}"
-                )
+            segments = {}
+            for channel, field in window_fields:
+                k, offset = reader.unpack("<II", field)
+                if k >= len(spans):
+                    why = f"span index {k} out of range ({len(spans)} spans)"
+                elif spans[k][0] is not channel:
+                    why = f"span {k} holds {spans[k][0].value} samples"
+                elif offset + seg_len > spans[k][1].size:
+                    why = f"offset {offset} runs past the {spans[k][1].size} samples of span {k}"
+                else:
+                    why = None
+                if why:
+                    raise CorruptionError(
+                        f"{path}: {field} at byte offset {reader.offset - 8}: {why}")
+                window = spans[k][1][offset : offset + seg_len]
+                segments[channel] = BioSegment(channel, window, frame_index)
+            (side,) = reader.unpack("<I", "face side")
             samples.append(
                 SyncedSample(
                     segments=segments,

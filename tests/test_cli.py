@@ -594,10 +594,11 @@ class TestMalformedInputs:
         model_dir = tmp_path / "model"
         save_model(BmmnModel.build_toy("bmmn"), model_dir)
         blob = bytearray(samples.read_bytes())
-        (n,) = struct.unpack_from("<H", blob, 16)
-        (m,) = struct.unpack_from("<H", blob, 18 + n)
-        ecg_at = 16 + (2 + n) + (2 + m) + 12 + 80
-        blob[ecg_at : ecg_at + 8] = struct.pack("<d", float("nan"))
+        # The first span follows the 16-byte header, the u32 span count and
+        # its own channel byte and u32 length.
+        assert struct.unpack_from("<B", blob, 20) == (0,)  # an ECG span
+        span_at = 16 + 4 + 5
+        blob[span_at + 8 : span_at + 16] = struct.pack("<d", float("nan"))
         bad = tmp_path / "bad.bin"
         bad.write_bytes(bytes(blob))
         with np.errstate(all="raise", under="ignore"):  # as `main` sets them
@@ -607,8 +608,33 @@ class TestMalformedInputs:
             )
         assert code == 1
         err = capsys.readouterr().err
-        assert f"{bad}: ECG window at byte offset {ecg_at}: bio segment values" in err
+        assert f"{bad}: ECG span 0 at byte offset {span_at}: scaled trace values" in err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "train", "pretrain-bae"])
+    def test_version_1_samples_file_exits_1(self, processed, tmp_path, capsys, command):
+        # Only the version field is read before the file is refused.
+        import struct
+
+        from bioaffect.bmmn import BmmnModel, save_model
+
+        _, samples = processed
+        blob = bytearray(samples.read_bytes())
+        struct.pack_into("<I", blob, 4, 1)
+        old = tmp_path / "old.bin"
+        old.write_bytes(bytes(blob))
+        out = tmp_path / "out"
+        if command == "eval":
+            save_model(BmmnModel.build_toy("bmmn"), tmp_path / "model")
+            argv = ["eval", "--model", str(tmp_path / "model"), "--data", str(old),
+                    "--out", str(out)]
+        else:
+            argv = [command, "--data", str(old), "--out", str(out)]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert (f"{old}: sample file version 1 (byte offset 4) is no longer read; "
+                "re-run `bioaffect preprocess`") in err
+        assert not out.exists() and not Path(str(out) + ".json").exists()
 
 
 class TestGradcheckCommand:

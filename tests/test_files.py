@@ -181,16 +181,17 @@ def test_only_the_files_module_reads_text():
     assert _source_lines_matching(_TEXT_OPENS) == []
 
 
-def test_only_prepare_face_scales_eight_bit_pixels():
+def test_only_one_function_scales_eight_bit_pixels():
     # Frames stay uint8 from the PGM reader to the face crop; one division
     # by 255 turns them into floats, so no second scaling can creep in.
+    # The crop calls it on the box of pixels it reads.
     pattern = re.compile(r"/\s*255\b")
     for line in ("image / 255.0", "x /255", "a.astype(np.float64) / 255"):
         assert pattern.search(line), line
     for line in ("x * 255.0", "x / 2550", "1 / 25", "maxval != 255"):
         assert not pattern.search(line), line
     found = _source_lines_matching(pattern, skip=())
-    assert [(module, func) for module, func, _ in found] == [("signals.py", "prepare_face")]
+    assert [(module, func) for module, func, _ in found] == [("signals.py", "_unit_pixels")]
 
 
 def test_conv_blocks_use_the_one_bias_relu_node():

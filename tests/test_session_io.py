@@ -1,9 +1,12 @@
 """File formats: session CSV/PGM/JSONL parsing and the processed container."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bioaffect import session_io, synth
 from bioaffect.errors import CorruptionError, IngestError, ParseError, ValidationError
@@ -27,6 +30,7 @@ from bioaffect.signals import (
     FrameRecord,
     SignalTrace,
     SyncedSample,
+    label_targets,
     rescale,
     resample,
     synchronize,
@@ -145,6 +149,30 @@ class TestSignalCsv:
         assert trace.samples.flags.owndata and trace.samples.flags.c_contiguous
         assert trace.sample_rate_hz == 128.0
         assert np.float64(trace.start_time_s).view(np.uint64) == rows[0, 0].view(np.uint64)
+
+    @pytest.mark.parametrize("hook", ["settrace", "setprofile"])
+    def test_read_under_a_trace_or_profile_hook(self, tmp_path, hook):
+        # A Python trace function (coverage, pdb) or profiler (cProfile)
+        # holds its own reference to the parse buffer while it is shrunk.
+        import sys
+
+        path = tmp_path / "sig.csv"
+        path.write_bytes(_SIGNAL_BODIES["lf"])
+        want = read_signal_csv(path, Channel.ECG).samples
+
+        def tracer(frame, event, arg):
+            frame.f_locals  # as a debugger reads them
+            return tracer
+
+        install = getattr(sys, hook)
+        previous = sys.gettrace() if hook == "settrace" else sys.getprofile()
+        install(tracer)
+        try:
+            trace = read_signal_csv(path, Channel.ECG)
+        finally:
+            install(previous)
+        assert np.array_equal(trace.samples.view(np.uint64), want.view(np.uint64))
+        assert trace.samples.flags.owndata and trace.samples.size == 400
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_a_compression_suffix_is_read_as_it_is(self, tmp_path, suffix):
@@ -375,9 +403,37 @@ def _sample(frame_index=0, subject="p00", session="p00_t00"):
     return SyncedSample(segments, face, label, subject, session)
 
 
-# Byte offset of the first sample's label: the 16-byte header, then the ids
-# "p00" and "p00_t00" with their u16 lengths, then the frame index and timestamp.
-LABEL_AT = 16 + (2 + 3) + (2 + 7) + 12
+# A `_sample`'s windows own their floats, so each is a span of its own: a
+# file of n such samples holds 2n one-window spans (ECG, EDA, ECG, ...)
+# after its 16-byte header and u32 span count.
+SPANS_AT = 20
+SPAN_BYTES = 1 + 4 + 8 * SEGMENT_LEN  # channel byte, u32 length, the floats
+
+
+def sample_at(n_spans):
+    """Byte offset of the first sample in a file of `n_spans` one-window spans."""
+    return SPANS_AT + n_spans * SPAN_BYTES
+
+
+# Offsets in a `_sample` record: the ids "p00" and "p00_t00" with their u16
+# lengths and the frame index and timestamp come before the label; then the
+# four u32 window references and the u32 face side before the 16 x 16 face.
+LABEL = (2 + 3) + (2 + 7) + 12
+REFS = LABEL + 80
+FACE = REFS + 16 + 4
+
+
+def _synchronized_corpus(tmp_path, face_size=64, alignment="centered", **spec):
+    """The samples of a small generated corpus, as `preprocess` makes them."""
+    spec = dict(dict(n_subjects=1, trials_per_subject=2, trial_seconds=6.0, rng_seed=3,
+                     fps=0.5), **spec)
+    synth.gen_dataset(synth.SynthSpec(**spec), tmp_path / "corpus")
+    return [s for d in list_sessions(tmp_path / "corpus")
+            for s in session_samples(d, face_size, alignment)]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestProcessedContainer:
@@ -397,25 +453,61 @@ class TestProcessedContainer:
             assert a.label.valence == b.label.valence
             assert (a.label.emotions == b.label.emotions).all()
         sidecar = json.loads((tmp_path / "samples.bin.json").read_text())
-        assert sidecar["n_samples"] == 4
+        assert sidecar["n_samples"] == 4 and sidecar["format_version"] == 2
         assert sidecar["note"] == "t"
 
-    # sha256 of the samples file of a fixed two-session corpus, as written
-    # when every face was cropped up front; cropping each face as it is
-    # written must give the same bytes.
+    def test_read_back_gives_the_bits_synchronize_gave(self, tmp_path):
+        samples = _synchronized_corpus(tmp_path)
+        path = tmp_path / "samples.bin"
+        write_samples(path, samples)
+        back = read_samples(path)
+        assert len(back) == len(samples) == 6
+        for a, b in zip(samples, back):
+            assert (a.subject_id, a.session_id, a.frame_index) == (
+                b.subject_id, b.session_id, b.frame_index)
+            assert np.float64(a.face.timestamp_s).view(np.uint64) == np.float64(
+                b.face.timestamp_s).view(np.uint64)
+            for c in (Channel.ECG, Channel.EDA):
+                assert _same_bits(a.segments[c].window, b.segments[c].window)
+            assert _same_bits(a.face.image, b.face.image)
+            assert _same_bits(label_targets(a.label), label_targets(b.label))
+        # One span per session and channel, which the session's windows view.
+        assert int.from_bytes(path.read_bytes()[16:20], "little") == 2 * 2
+        for first, second in zip(back, back[1:]):
+            for c in (Channel.ECG, Channel.EDA):
+                shared = np.shares_memory(first.segments[c].window, second.segments[c].window)
+                assert shared == (first.session_id == second.session_id)
+
+    def test_written_read_and_written_again_keeps_the_bytes(self, tmp_path):
+        # Read back, the spans lie side by side in one buffer; the rewrite
+        # must not merge them. With one EDA span for three samples, their
+        # second and third ECG spans are neighbours, so the last window of
+        # one ends exactly where the first window of the next starts.
+        shared = np.random.default_rng(0).uniform(0, 1, SEGMENT_LEN + 200)
+        one_eda_span = [_sample(i) for i in range(3)]
+        for i, s in enumerate(one_eda_span):
+            s.segments[Channel.EDA] = BioSegment(
+                Channel.EDA, shared[100 * i : 100 * i + SEGMENT_LEN], i)
+        for name, samples in (("synchronized", _synchronized_corpus(tmp_path)),
+                              ("own windows", [_sample(i) for i in range(3)]),
+                              ("one EDA span", one_eda_span)):
+            first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+            write_samples(first, samples)
+            write_samples(second, read_samples(first))
+            assert first.read_bytes() == second.read_bytes(), name
+
+    # sha256 of the samples file of a fixed two-session corpus. The samples
+    # the file reads back as were checked equal, bit for bit, to those read
+    # from the version-1 file this test pinned before.
     @pytest.mark.parametrize("face_size, alignment, digest", [
-        (64, "centered", "ee2fcc1460c190355a1ded252f10022ef951b36d4770841b67957224c241f8d9"),
-        (40, "trailing", "30be02b2b4af67250fd0e13fc6a0a2cefa9cba6565cd6540fe67a30d81cbd9ac"),
+        (64, "centered", "2d7ffa6b0fe129df3230b42b888178d50b72d7539e07d7d00a3cc779a114ebb3"),
+        (40, "trailing", "9c7edd9003f6d870656cdd126da8134c67bba9df751a6d254bed98b6933c3c80"),
     ], ids=["64-centered", "40-trailing"])
     def test_synchronized_samples_write_the_pinned_bytes(self, tmp_path, face_size,
                                                          alignment, digest):
         import hashlib
 
-        spec = synth.SynthSpec(n_subjects=1, trials_per_subject=2, trial_seconds=6.0,
-                               rng_seed=3, fps=0.5)
-        synth.gen_dataset(spec, tmp_path / "corpus")
-        samples = [s for d in list_sessions(tmp_path / "corpus")
-                   for s in session_samples(d, face_size, alignment)]
+        samples = _synchronized_corpus(tmp_path, face_size, alignment)
         path = tmp_path / "samples.bin"
         write_samples(path, samples)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -430,22 +522,37 @@ class TestProcessedContainer:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(CorruptionError):
+        with pytest.raises(CorruptionError, match="bad magic at byte offset 0"):
+            read_samples(path)
+
+    def test_a_version_1_file_is_refused(self, tmp_path):
+        import struct
+
+        path = tmp_path / "samples.bin"
+        write_samples(path, [_sample(0)])
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+        with pytest.raises(CorruptionError, match=r"samples\.bin: sample file version 1 "
+                           r"\(byte offset 4\) is no longer read; re-run `bioaffect preprocess`"):
             read_samples(path)
 
     def test_truncation_names_field_and_offset(self, tmp_path):
         path = tmp_path / "samples.bin"
         write_samples(path, [_sample(0), _sample(1)])
         blob = path.read_bytes()
-        seg = 8 * SEGMENT_LEN
-        face_at = LABEL_AT + 80 + 2 * seg
+        at = sample_at(4)
         cuts = {
             10: (4, "header"),
-            19: (18, "subject id"),
-            LABEL_AT + 40: (LABEL_AT, "label"),
-            LABEL_AT + 80 + seg + 8: (LABEL_AT + 80 + seg, "EDA window"),
-            face_at + 3: (face_at, "face header"),
-            face_at + 5 + 100: (face_at + 5, "face payload"),
+            18: (16, "span count"),
+            SPANS_AT + 2: (SPANS_AT, "span header"),
+            SPANS_AT + 5 + 100: (SPANS_AT + 5, "ECG span 0"),
+            SPANS_AT + SPAN_BYTES + 5 + 8: (SPANS_AT + SPAN_BYTES + 5, "EDA span 1"),
+            at + 1: (at, "subject id length"),
+            at + 3: (at + 2, "subject id"),
+            at + LABEL + 40: (at + LABEL, "label"),
+            at + REFS + 10: (at + REFS + 8, "EDA window"),
+            at + FACE - 2: (at + FACE - 4, "face side"),
+            at + FACE + 100: (at + FACE, "face payload"),
             len(blob) - 1: (len(blob) - 8 * 16 * 16, "face payload"),
         }
         for cut, (start, field) in cuts.items():
@@ -460,30 +567,71 @@ class TestProcessedContainer:
             with pytest.raises(CorruptionError):
                 read_samples(path)
 
-    def test_face_kind_other_than_image_rejected(self, tmp_path):
-        # Kind 1 once meant a precomputed feature vector; only images are read now.
+    @pytest.mark.parametrize("field, index, offset, why", [
+        ("ECG", 9, 0, r"span index 9 out of range \(4 spans\)"),
+        ("ECG", 4, 0, r"span index 4 out of range \(4 spans\)"),
+        ("ECG", 1, 0, "span 1 holds EDA samples"),
+        ("EDA", 2, 0, "span 2 holds ECG samples"),
+        ("ECG", 0, 1, "offset 1 runs past the 1000 samples of span 0"),
+        ("EDA", 3, 2**32 - 1, "offset 4294967295 runs past the 1000 samples of span 3"),
+    ])
+    def test_a_window_reference_out_of_its_span_is_refused(self, tmp_path, field, index,
+                                                           offset, why):
+        import struct
+
+        path = tmp_path / "samples.bin"
+        write_samples(path, [_sample(0), _sample(1)])
+        blob = bytearray(path.read_bytes())
+        at = sample_at(4) + REFS + (8 if field == "EDA" else 0)
+        assert struct.unpack_from("<II", blob, at) == ((1, 0) if field == "EDA" else (0, 0))
+        struct.pack_into("<II", blob, at, index, offset)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptionError,
+                           match=rf"samples\.bin: {field} window at byte offset {at}: {why}$"):
+            read_samples(path)
+
+    def test_a_window_may_view_any_span_of_its_channel(self, tmp_path):
+        import struct
+
+        path = tmp_path / "samples.bin"
+        write_samples(path, [_sample(0), _sample(1)])
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<II", blob, sample_at(4) + REFS, 2, 0)  # sample 1's ECG span
+        path.write_bytes(bytes(blob))
+        first, second = read_samples(path)
+        assert first.segments[Channel.ECG].window is not second.segments[Channel.ECG].window
+        assert np.shares_memory(first.segments[Channel.ECG].window,
+                                second.segments[Channel.ECG].window)
+
+    @pytest.mark.parametrize("code, length, why", [
+        (2, SEGMENT_LEN, "unknown channel 2"),
+        (255, SEGMENT_LEN, "unknown channel 255"),
+        (0, SEGMENT_LEN - 1, "999 samples, fewer than one window"),
+        (1, 0, "0 samples, fewer than one window"),
+    ])
+    def test_a_bad_span_header_is_refused(self, tmp_path, code, length, why):
+        import struct
+
         path = tmp_path / "samples.bin"
         write_samples(path, [_sample(0)])
         blob = bytearray(path.read_bytes())
-        face_at = LABEL_AT + 80 + 2 * 8 * SEGMENT_LEN
-        assert blob[face_at] == 0
-        blob[face_at] = 1
+        struct.pack_into("<BI", blob, SPANS_AT + SPAN_BYTES, code, length)
         path.write_bytes(bytes(blob))
-        with pytest.raises(
-            CorruptionError, match=rf"unknown face payload kind 1 at byte offset {face_at}$"
-        ):
+        at = SPANS_AT + SPAN_BYTES
+        with pytest.raises(CorruptionError, match=rf"samples\.bin: span 1 at byte offset {at}: "
+                                                  rf"{why}$"):
             read_samples(path)
 
     @pytest.mark.parametrize("field, at, slot, value, why", [
-        ("label", LABEL_AT, 0, np.nan, r"valence = nan outside \[1, 9\]"),
-        ("label", LABEL_AT, 4, np.nan, "emotion indicators must lie in"),
-        ("label", LABEL_AT, 9, np.inf, "emotion indicators must lie in"),
-        ("ECG window", LABEL_AT + 80, 17, np.nan, "bio segment values must lie in"),
-        ("ECG window", LABEL_AT + 80, 0, 1.5, "bio segment values must lie in"),
-        ("ECG window", LABEL_AT + 80, 1, -0.25, "bio segment values must lie in"),
-        ("EDA window", LABEL_AT + 80 + 8 * SEGMENT_LEN, 999, np.inf, "bio segment values"),
-        ("face payload", LABEL_AT + 80 + 16 * SEGMENT_LEN + 5, 40, -np.inf, "frame image contains"),
-        ("face payload", LABEL_AT + 80 + 16 * SEGMENT_LEN + 5, 255, np.nan, "frame image contains"),
+        ("label", sample_at(2) + LABEL, 0, np.nan, r"valence = nan outside \[1, 9\]"),
+        ("label", sample_at(2) + LABEL, 4, np.nan, "emotion indicators must lie in"),
+        ("label", sample_at(2) + LABEL, 9, np.inf, "emotion indicators must lie in"),
+        ("ECG span 0", SPANS_AT + 5, 17, np.nan, "scaled trace values must lie in"),
+        ("ECG span 0", SPANS_AT + 5, 0, 1.5, "scaled trace values must lie in"),
+        ("ECG span 0", SPANS_AT + 5, 1, -0.25, "scaled trace values must lie in"),
+        ("EDA span 1", SPANS_AT + SPAN_BYTES + 5, 999, np.inf, "scaled trace values"),
+        ("face payload", sample_at(2) + FACE, 40, -np.inf, "frame image contains"),
+        ("face payload", sample_at(2) + FACE, 255, np.nan, "frame image contains"),
     ])
     def test_value_out_of_domain_names_field_and_offset(self, tmp_path, field, at, slot, value,
                                                         why):
@@ -510,12 +658,72 @@ class TestProcessedContainer:
         path = tmp_path / "samples.bin"
         write_samples(path, [_sample(0)])
         blob = bytearray(path.read_bytes())
-        blob[18] = 0xFF  # first byte of the subject id
+        at = sample_at(2) + 2  # first byte of the subject id
+        blob[at] = 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(
-            CorruptionError, match=r"samples\.bin: subject id is not UTF-8 at byte offset 18"
+            CorruptionError, match=rf"samples\.bin: subject id is not UTF-8 at byte offset {at}"
         ):
             read_samples(path)
+
+
+class TestDamagedContainer:
+    """A samples file cut short or with any one byte changed reads, or
+    raises a CorruptionError that names a byte offset; nothing else."""
+
+    @pytest.fixture(scope="class")
+    def blob(self, tmp_path_factory):
+        # Two sessions of four frames, 2 s apart at 128 Hz: each channel's
+        # windows overlap, so each session stores one span per channel.
+        traces = {c: SignalTrace(c, MODEL_HZ, np.random.default_rng(i).uniform(0, 1, 1200))
+                  for i, c in enumerate((Channel.ECG, Channel.EDA))}
+        label = AffectLabel(5.5, 4.5, 5.0, emotions=np.eye(7)[3])
+        samples = []
+        for session in ("p00_t00", "p00_t01"):
+            pixels = np.random.default_rng(len(samples)).integers(0, 256, (12, 12), np.uint8)
+            frames = [FrameRecord(2.0 * i, pixels) for i in range(4)]
+            samples += synchronize(traces, frames, label, "p00", session, face_size=4)
+        path = tmp_path_factory.mktemp("damaged") / "samples.bin"
+        write_samples(path, samples)
+        return path.read_bytes()
+
+    @staticmethod
+    def read_or_refuse(path):
+        try:
+            read_samples(path)
+        except CorruptionError as exc:
+            assert re.search(r"byte offset \d+", str(exc)), str(exc)
+
+    def test_the_fixture_shares_its_spans(self, blob):
+        import struct
+
+        # Window starts 256 samples apart: each span is 1000 + 3 * 256 samples.
+        assert struct.unpack_from("<I", blob, 16) == (4,)
+        for k in range(4):
+            at = SPANS_AT + k * (5 + 8 * 1768)
+            assert struct.unpack_from("<BI", blob, at) == (k % 2, 1768)
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_truncation(self, tmp_path, blob, data):
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        path = tmp_path / "samples.bin"
+        path.write_bytes(blob[:cut])
+        with pytest.raises(CorruptionError, match=r"byte offset \d+"):
+            read_samples(path)
+
+    @settings(max_examples=600, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_single_byte_flip(self, tmp_path, blob, data):
+        at = data.draw(st.integers(0, len(blob) - 1))
+        xor = data.draw(st.integers(1, 255))
+        damaged = bytearray(blob)
+        damaged[at] ^= xor
+        path = tmp_path / "samples.bin"
+        path.write_bytes(bytes(damaged))
+        self.read_or_refuse(path)
 
 
 class TestStreamingRead:
@@ -554,6 +762,28 @@ class TestStreamingRead:
                 a.label.emotions.view(np.uint64), b.label.emotions.view(np.uint64)
             )
 
+    def test_a_sessions_windows_cost_its_spans_not_a_window_each(self, tmp_path):
+        # 4 fps at 128 Hz: 32 samples between frames, so a session's 80
+        # windows per channel view one span of 1000 + 79 * 32 samples. A
+        # copy of each window would add 16 KB a sample, well over the bound.
+        import tracemalloc
+
+        samples = _synchronized_corpus(tmp_path, face_size=48, trial_seconds=20.0, fps=4.0)
+        path = tmp_path / "samples.bin"
+        write_samples(path, samples)
+        tracemalloc.start()
+        try:
+            back = read_samples(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(back) == 160
+        span_bytes = 2 * 2 * 8 * (SEGMENT_LEN + 79 * 32)
+        face_and_label_bytes = 8 * (48 * 48 + 10) * len(back)
+        window_bytes = 8 * 2 * SEGMENT_LEN * len(back)
+        assert window_bytes > 0.25 * (span_bytes + face_and_label_bytes)
+        assert peak <= 1.25 * (span_bytes + face_and_label_bytes), peak
+
     def test_arrays_are_writable_contiguous_float64(self, tmp_path):
         path = tmp_path / "samples.bin"
         write_samples(path, [_sample(0), _sample(1)])
@@ -570,12 +800,13 @@ class TestStreamingRead:
         path = tmp_path / "samples.bin"
         write_samples(path, [_sample(0), _sample(1)])
         blob = path.read_bytes()
-        face_at = LABEL_AT + 80 + 2 * 8 * SEGMENT_LEN
+        refs_at = sample_at(4) + REFS
         bad = [blob[:cut] for cut in range(0, len(blob), 37)]
-        bad += [blob + b"\x00", b"NOPE" + blob[4:], blob[:4] + b"\x02" + blob[5:]]
+        bad += [blob + b"\x00", b"NOPE" + blob[4:], blob[:4] + b"\x03" + blob[5:]]
         bad.append(blob[:12] + b"\x07" + blob[13:])  # a segment length of 1007
-        bad.append(blob[:18] + b"\xff" + blob[19:])  # a subject id that is not UTF-8
-        bad.append(blob[:face_at] + b"\x05" + blob[face_at + 1 :])  # face kind 5
+        bad.append(blob[:SPANS_AT] + b"\x05" + blob[SPANS_AT + 1 :])  # span channel 5
+        bad.append(blob[:refs_at] + b"\x07" + blob[refs_at + 1 :])  # span index 7 of 4
+        bad.append(blob[:sample_at(4) + 2] + b"\xff" + blob[sample_at(4) + 3 :])  # not UTF-8
         files = record_opens(monkeypatch, session_io)
         read_samples(path)
         for body in bad:

@@ -73,6 +73,44 @@ class TestResample:
         assert np.array_equal(out.samples.view(np.uint64), want.view(np.uint64))
 
 
+    @pytest.mark.parametrize("block", [1, 7, signals._RESAMPLE_BLOCK])
+    @pytest.mark.parametrize("n, hz, target, start", [
+        (96_000, 800.0, 128.0, 1e-9),  # two default blocks
+        (20_003, 800.0, 400.0, 0.0),  # each output time is a source time; the last is the last
+        (4_003, 800.0, 100.0, -7.25),
+        (513, 100.0, 800.0, 3.0),  # upsampled: the last outputs lie past the last source time
+        (5, 800.0, 128.0, 0.0),
+        # Output 1008 (7.875 s) lies just below source time 2625, although
+        # (7.875 - 0) * rate rounds to 2625.0000000000005.
+        (4_100, 1000.0 / 3.0, 128.0, 0.0),
+    ])
+    def test_blocks_give_the_bits_of_one_interp_call(self, monkeypatch, block, n, hz, target,
+                                                     start):
+        monkeypatch.setattr(signals, "_RESAMPLE_BLOCK", block)
+        samples = np.random.default_rng(n).uniform(-1, 1, n)
+        out = resample(make_trace(samples, hz=hz, start=start), target)
+        t_src = start + np.arange(n) / hz
+        t_out = start + np.arange(out.samples.size) / target
+        want = np.interp(t_out, t_src, samples)
+        assert np.array_equal(out.samples.view(np.uint64), want.view(np.uint64))
+        if target in (100.0, 400.0):
+            assert np.isin(t_out, t_src).all()
+        if n == 20_003:
+            assert t_out[-1] == t_src[-1]
+
+    def test_no_full_source_time_grid(self):
+        import tracemalloc
+
+        trace = make_trace(np.random.default_rng(0).uniform(0, 1, 480_000), hz=800.0)
+        tracemalloc.start()
+        try:
+            out = resample(trace, 128.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.samples.nbytes + trace.samples.nbytes / 4, peak
+
+
 class TestRescale:
     def test_hand_case(self):
         out = rescale(make_trace([2.0, 4.0, 6.0]))
@@ -185,6 +223,42 @@ class TestEightBitFrames:
         assert face.dtype == np.float64 and face.shape == (16, 16)
         assert np.array_equal(face.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("shape", [(80, 80), (480, 640)], ids=["80x80", "640x480"])
+    @pytest.mark.parametrize("box", ["inside", "top-left-edge", "bottom-right-edge", "whole",
+                                     "small"])
+    def test_a_crop_gives_the_bits_of_the_whole_float_frame(self, monkeypatch, shape, box):
+        # The crop scales only the landmark box plus its bilinear margin;
+        # the reference scales the whole frame and samples it by four
+        # gathers. The edge boxes' 20 % margin is clamped at the frame edge;
+        # the small box is scaled up.
+        h, w = shape
+        landmarks = {
+            "inside": [(0.3 * w, 0.25 * h), (0.6 * w, 0.7 * h), (0.45 * w, 0.5 * h)],
+            "top-left-edge": [(0.0, 1.5), (0.4 * w, 0.3 * h)],
+            "bottom-right-edge": [(0.7 * w, 0.8 * h), (w - 1.0, h - 2.5)],
+            "whole": [(0.0, 0.0), (w - 1.0, h - 1.0)],
+            "small": [(0.5 * w, 0.5 * h), (0.5 * w + 9.0, 0.5 * h + 7.0)],
+        }[box]
+        pixels = np.random.default_rng(h).integers(0, 256, shape, dtype=np.uint8)
+        face = prepare_face(FrameRecord(1.0, pixels, landmarks), side=64).image
+        monkeypatch.setattr(signals, "_bilinear_sample", bilinear_sample_four_gather)
+        want = crop_face(pixels.astype(np.float64) / 255.0, landmarks, side=64)
+        assert face.shape == want.shape == (64, 64)
+        assert np.array_equal(face.view(np.uint64), want.view(np.uint64))
+
+    def test_a_crop_of_a_large_frame_makes_no_float_copy_of_it(self):
+        import tracemalloc
+
+        pixels = np.random.default_rng(1).integers(0, 256, (480, 640), dtype=np.uint8)
+        frame = FrameRecord(1.0, pixels, [(250.0, 150.0), (390.0, 330.0)])
+        tracemalloc.start()
+        try:
+            prepare_face(frame, side=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * pixels.size / 2, peak
+
     def test_synchronized_faces_are_float(self):
         pixels = np.full((20, 20), 255, dtype=np.uint8)
         traces = {c: make_trace(np.linspace(0.0, 1.0, 400), channel=c)
@@ -214,6 +288,17 @@ class TestBilinearSample:
         ys = np.sort(rng.uniform(0, shape[0] - 1, size=out[0]))
         xs = rng.uniform(0, shape[1] - 1, size=out[1])  # unsorted too
         self.assert_same_bits(image, ys, xs)
+
+    @pytest.mark.parametrize("shape,out", [((64, 64), (64, 64)), ((120, 90), (17, 33)),
+                                           ((1, 7), (3, 5)), ((7, 1), (4, 4))])
+    def test_an_8_bit_image_is_read_as_pixel_over_255(self, shape, out):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        pixels = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        ys = np.sort(rng.uniform(-2, shape[0] + 1, size=out[0]))
+        xs = rng.uniform(0.3 * shape[1], shape[1] + 1, size=out[1])  # unsorted, one side clipped
+        got = signals._bilinear_sample(pixels, ys, xs)
+        want = bilinear_sample_four_gather(pixels / 255.0, ys, xs)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_clipped_at_every_edge(self):
         rng = np.random.default_rng(7)
