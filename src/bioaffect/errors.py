@@ -58,23 +58,24 @@ class BlobReader:
     """Reads the consecutive fields of an open binary file, one length check each.
 
     Fields are read from the file as they are asked for, never from a copy
-    of the whole file; `floats` reads an array's bytes straight into its
-    slice of one buffer. The file size comes from `fstat`, so a field's
+    of the whole file; `floats` and `finite_floats` read an array's bytes
+    straight into its buffer, allocated only once the field's length is
+    checked. The file size comes from `fstat` (kept as `stat`), so a field's
     length is checked before it is read. A field that runs past the end of
-    the file (or a read that comes back short), a string that is not UTF-8,
-    or bytes left after the last field raise a CorruptionError that names
-    the path, the field and the byte offset. The caller opens the file, in
-    binary mode, and closes it. A field's name may be given as a function of
-    no arguments that returns it, so that only an error pays for its
-    formatting.
+    the file (by its size, or because the file ended sooner when read), a
+    string that is not UTF-8, or bytes left after the last field raise a
+    CorruptionError that names the path, the field and the byte offset. The
+    caller opens the file, in binary mode and buffered or not, and closes
+    it. A field's name may be given as a function of no arguments that
+    returns it, so that only an error pays for its formatting.
     """
 
     def __init__(self, path, file):
         self.path = path
         self.file = file
-        self.size = os.fstat(file.fileno()).st_size
+        self.stat = os.fstat(file.fileno())
+        self.size = self.stat.st_size
         self.offset = 0
-        self._arena = None
 
     def _truncated(self, start: int, nbytes: int, field, remain: int) -> CorruptionError:
         return CorruptionError(
@@ -90,33 +91,44 @@ class BlobReader:
         self.offset = start + nbytes
         return start
 
+    def _fill(self, buffer) -> int:
+        """Read into `buffer` until it is full or the file ends; the bytes read.
+
+        An unbuffered file may return fewer bytes than asked although more
+        follow, so one short read is not taken for the end of the file.
+        """
+        view = memoryview(buffer).cast("B")
+        got = 0
+        while got < view.nbytes:
+            n = self.file.readinto(view[got:])
+            if not n:
+                break
+            got += n
+        return got
+
     def take(self, nbytes: int, field) -> bytes:
         start = self._claim(nbytes, field)
-        data = self.file.read(nbytes)
-        if len(data) != nbytes:
-            raise self._truncated(start, nbytes, field, len(data))
-        return data
+        data = bytearray(nbytes)
+        got = self._fill(data)
+        if got != nbytes:
+            raise self._truncated(start, nbytes, field, got)
+        return bytes(data)
 
-    def floats(self, shape: tuple, field: str) -> np.ndarray:
-        """The next little-endian float64 array of `shape`, read straight into its buffer.
-
-        The buffer is the next slice of one arena of `size // 8` floats,
-        allocated on the first call (every float field fits in it, since
-        each takes its own bytes of the file). So a file's arrays are views
-        that cost one allocation together, not one each.
-        """
+    def floats(self, shape: tuple, field: str, out: np.ndarray | None = None) -> np.ndarray:
+        """The next little-endian float64 array of `shape`, read straight into
+        `out` (a C-contiguous float64 array of that shape, which a caller can
+        reuse for fields it does not keep), or else into a new array."""
         nbytes = 8 * math.prod(shape)
         start = self._claim(nbytes, field)
-        arr = self._next_floats(nbytes // 8).reshape(shape)
-        got = self.file.readinto(arr)
+        arr = np.empty(shape, dtype="<f8") if out is None else out
+        got = self._fill(arr)
         if got != nbytes:
             raise self._truncated(start, nbytes, field, got)
         return arr
 
     def finite_floats(self, fields: list) -> list:
         """The next float64 arrays, one per `(shape, field)`, as consecutive
-        views of the next slice of the arena, read into it `_BLOCK` floats
-        at a time.
+        views of one new array, read into it `_BLOCK` floats at a time.
 
         Every length is checked before the first read. A read that comes
         back short names the field it stopped in, as `floats` would field by
@@ -131,11 +143,11 @@ class BlobReader:
             n = math.prod(shape)
             starts.append(self._claim(8 * n, field))
             bounds.append(bounds[-1] + n)
-        flat = self._next_floats(bounds[-1])
+        flat = np.empty(bounds[-1], dtype="<f8")
         with np.errstate(over="ignore", under="ignore"):
             for lo in range(0, flat.size, _BLOCK):
                 block = flat[lo : lo + _BLOCK]
-                got = self.file.readinto(block)
+                got = self._fill(block)
                 if got != 8 * block.size:
                     k = bisect.bisect_right(bounds, lo + got // 8) - 1
                     raise self._truncated(starts[k], 8 * (bounds[k + 1] - bounds[k]),
@@ -148,13 +160,6 @@ class BlobReader:
                         f"at byte offset {starts[k] + 8 * (i - bounds[k])}"
                     )
         return [flat[a:b].reshape(shape) for (shape, _), a, b in zip(fields, bounds, bounds[1:])]
-
-    def _next_floats(self, n: int) -> np.ndarray:
-        if self._arena is None:
-            self._arena = np.empty(self.size // 8, dtype="<f8")
-        flat = self._arena[:n]
-        self._arena = self._arena[n:]
-        return flat
 
     def unpack(self, fmt: str, field) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), field))

@@ -34,15 +34,20 @@ span and an offset per channel. Record layout (little-endian):
       u32 side, side*side x f64 face image.
 
 `read_samples` returns each window as a view into its span, so the windows
-of one session share one buffer. A version-1 file, which stored every
-window in full, is refused (exit 1): re-run `bioaffect preprocess` to
-rewrite it.
+of one session share one buffer. It checks every face payload but keeps
+none: each sample's face is a `StoredFace`, which reads its payload from
+the file each time its `image` is read. So the file must stay in place,
+unchanged, while the samples are in use; a face read after the file was
+replaced, changed or removed raises a CorruptionError (exit 1). A
+version-1 file, which stored every window in full, is refused (exit 1):
+re-run `bioaffect preprocess` to rewrite it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import struct
 import warnings
 from pathlib import Path
@@ -61,6 +66,7 @@ from .signals import (
     FrameRecord,
     SignalTrace,
     SyncedSample,
+    finite_image,
     rescale,
     resample,
     synchronize,
@@ -421,9 +427,8 @@ def _spans(samples: list) -> tuple:
 
     Per channel, the windows that view one array are taken in order of
     their start; a window that overlaps the run before it joins that run's
-    span, and any other starts a new one. Spans that `read_samples` placed
-    side by side in its buffer therefore stay apart when rewritten, so a
-    file read and written again keeps its bytes.
+    span, and any other starts a new one. A file read and written again
+    therefore keeps its bytes.
     """
     views = {}  # (channel code, id(array)) -> (array, [(offset, sample position)])
     for pos, s in enumerate(samples):
@@ -471,6 +476,64 @@ def _sample_chunks(samples: list):
         yield np.ascontiguousarray(image, dtype="<f8").tobytes()
 
 
+def _stamp(stat: os.stat_result) -> tuple:
+    """What tells a file apart from another at its path, or from itself changed."""
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+class StoredFace:
+    """A read sample's face: the `side` x `side` float64 payload at byte
+    `offset` of its samples file, read each time `image` is read and not
+    kept, as a `FaceCrop` crops its frame each time. `file` is the
+    `(absolute path, _stamp)` of that file as `read_samples` found it,
+    one tuple shared by the faces of a read.
+
+    `read_samples` checked the payload; `image` checks again that the file
+    is the one it read and that the values are finite.
+    """
+
+    __slots__ = ("file", "offset", "side", "timestamp_s")
+
+    def __init__(self, file: tuple, offset: int, side: int, timestamp_s: float):
+        self.file = file
+        self.offset = offset
+        self.side = side
+        self.timestamp_s = timestamp_s
+
+    @property
+    def image(self) -> np.ndarray:
+        """The face, as a new C-contiguous float64 array.
+
+        The file is opened, checked by `fstat` to be the file that was read,
+        read at `offset` and closed. A file that was replaced, resized,
+        rewritten or removed since raises a CorruptionError that names the
+        path and the face's byte offset.
+        """
+        (path, stamp), offset = self.file, self.offset
+
+        def refused(why) -> CorruptionError:
+            return CorruptionError(f"{path}: face payload at byte offset {offset}: {why}")
+
+        try:
+            f = open(path, "rb")
+        except OSError as exc:
+            raise refused(f"the file cannot be opened again ({exc.strerror}); "
+                          f"it must stay in place while its samples are used") from None
+        with f:
+            if _stamp(os.fstat(f.fileno())) != stamp:
+                raise refused("the file changed after it was read; it must stay as it was "
+                              "while its samples are used")
+            image = np.empty((self.side, self.side), dtype="<f8")
+            f.seek(offset)
+            got = f.readinto(image)
+        if got != image.nbytes:
+            raise refused(f"truncated: needs {image.nbytes} bytes, {got} read")
+        try:
+            return finite_image(image)
+        except IngestError as exc:
+            raise refused(exc) from None
+
+
 def _scaled_trace(values: np.ndarray) -> np.ndarray:
     """`values`, which must lie in [0, 1] as a scaled trace does (a NaN does not)."""
     if not (values.min() >= 0.0 and values.max() <= 1.0):
@@ -481,10 +544,12 @@ def _scaled_trace(values: np.ndarray) -> np.ndarray:
 def read_samples(path) -> list:
     """Read a processed-sample file written by `write_samples`.
 
-    The file is read field by field, and the arrays straight into one
-    buffer (`BlobReader.floats`) of which they are views: each window is a
-    view into its span, so the peak is about the bytes of the spans, labels
-    and faces. A file cut anywhere, a version other than 2, an id that is
+    The file is read field by field, and the arrays straight into their
+    buffers (`BlobReader.floats`): each window is a view into its span.
+    Each face payload is read through one reused buffer and checked, and
+    each sample's face is a `StoredFace` that reads it again when used; so
+    the peak is about the bytes of the spans and labels plus one face. A
+    file cut anywhere, a version other than 2, an id that is
     not UTF-8, a span of an unknown channel or shorter than a window, a
     window whose span index is out of range, whose span holds the other
     channel or whose offset runs past its span, a value its type refuses
@@ -493,14 +558,17 @@ def read_samples(path) -> list:
     offset.
     """
     path = Path(path)
-    with open(path, "rb") as f:
+    # Unbuffered (`BlobReader` reads on after a short read): the fields are
+    # read straight into their arrays, and a buffer of the file would be
+    # held beside the face buffer at the peak.
+    with open(path, "rb", buffering=0) as f:
         reader = BlobReader(path, f)
 
-        def checked(build, shape, field):
+        def checked(build, shape, field, out=None):
             """`build` of the next float array; its domain error names the field's offset."""
             start = reader.offset
             try:
-                return build(reader.floats(shape, field))
+                return build(reader.floats(shape, field, out))
             except (ValidationError, IngestError) as exc:
                 raise CorruptionError(f"{path}: {field} at byte offset {start}: {exc}") from None
 
@@ -535,12 +603,27 @@ def read_samples(path) -> list:
             channel = _CHANNELS[code]
             spans.append((channel, checked(_scaled_trace, (length,), f"{channel.value} span {k}")))
         window_fields = [(c, f"{c.value} window") for c in _CHANNELS]
+        # Absolute, so that a face is found again after a change of directory.
+        source = (Path(os.path.abspath(path)), _stamp(reader.stat))
+        face = None  # the buffer each face payload is read into and checked in
+        values = np.empty(10)  # the buffer each label is read into
+        labels = {}  # a label's bytes -> its AffectLabel
+
+        def label_of(v):
+            """The AffectLabel of `v`: samples with one label share it, as
+            `synchronize` gives the samples of a session."""
+            key = v.tobytes()
+            if key not in labels:
+                v = v.copy()
+                labels[key] = AffectLabel(v[0], v[1], v[2], v[3:10])
+            return labels[key]
+
         samples = []
         for _ in range(count):
             subject_id = reader.text("subject id")
             session_id = reader.text("session id")
             frame_index, timestamp = reader.unpack("<Id", "frame index and timestamp")
-            label = checked(lambda v: AffectLabel(v[0], v[1], v[2], v[3:10]), (10,), "label")
+            label = checked(label_of, (10,), "label", values)
             segments = {}
             for channel, field in window_fields:
                 k, offset = reader.unpack("<II", field)
@@ -556,13 +639,15 @@ def read_samples(path) -> list:
                     raise CorruptionError(
                         f"{path}: {field} at byte offset {reader.offset - 8}: {why}")
                 window = spans[k][1][offset : offset + seg_len]
-                segments[channel] = BioSegment(channel, window, frame_index)
+                segments[channel] = BioSegment.of_checked_trace(channel, window, frame_index)
             (side,) = reader.unpack("<I", "face side")
+            face_at = reader.offset
+            reuse = face if face is not None and face.shape == (side, side) else None
+            face = checked(finite_image, (side, side), "face payload", reuse)
             samples.append(
                 SyncedSample(
                     segments=segments,
-                    face=checked(lambda img: FrameRecord(timestamp_s=timestamp, image=img),
-                                 (side, side), "face payload"),
+                    face=StoredFace(source, face_at, side, timestamp),
                     label=label,
                     subject_id=subject_id,
                     session_id=session_id,

@@ -11,10 +11,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import IngestError, ShapeError, ValidationError
+
+if TYPE_CHECKING:
+    from .session_io import StoredFace
 
 MODEL_HZ = 128.0
 SEGMENT_LEN = 1000
@@ -85,8 +89,16 @@ class FrameRecord:
             self.image = np.asarray(self.image, dtype=np.float64)
         if self.image.ndim != 2:
             raise IngestError(f"frame image must be 2D, got shape {self.image.shape}")
-        if self.image.dtype != np.uint8 and not np.isfinite(self.image).all():
-            raise IngestError("frame image contains non-finite values")
+        if self.image.dtype != np.uint8:
+            finite_image(self.image)
+
+
+def finite_image(image: np.ndarray) -> np.ndarray:
+    """`image`, which must be finite: tested by its extremes, which a NaN
+    becomes too, so that no temporary of the image's size is made."""
+    if image.size and not (np.isfinite(image.min()) and np.isfinite(image.max())):
+        raise IngestError("frame image contains non-finite values")
+    return image
 
 
 @dataclass
@@ -124,26 +136,44 @@ class BioSegment:
 
     def __post_init__(self):
         self.window = np.asarray(self.window, dtype=np.float64)
+        self._check_shape()
+        # Written so that a NaN, which fails every comparison, is refused too.
+        if not (self.window.min() >= 0.0 and self.window.max() <= 1.0):
+            raise ValidationError("bio segment values must lie in [0, 1]")
+
+    @classmethod
+    def of_checked_trace(cls, channel: Channel, window: np.ndarray,
+                         frame_index: int) -> "BioSegment":
+        """A segment whose float64 `window` views a trace already checked to
+        lie in [0, 1], as `read_samples` checks each span whole: its shape is
+        checked, its values are not scanned again."""
+        segment = cls.__new__(cls)
+        segment.channel, segment.window, segment.frame_index = channel, window, frame_index
+        segment._check_shape()
+        return segment
+
+    def _check_shape(self):
         if self.window.shape != (SEGMENT_LEN,):
             raise ShapeError(
                 f"bio segment must have exactly {SEGMENT_LEN} samples, "
                 f"got {self.window.shape}"
             )
-        # Written so that a NaN, which fails every comparison, is refused too.
-        if not (self.window.min() >= 0.0 and self.window.max() <= 1.0):
-            raise ValidationError("bio segment values must lie in [0, 1]")
 
 
 @dataclass
 class SyncedSample:
     """One training instance: per-channel segments + face + label.
 
-    `face` is the prepared face (a FrameRecord, from `read_samples`) or a
-    `FaceCrop` (from `synchronize`); both have `timestamp_s` and `image`.
+    `face` is a `session_io.StoredFace` (from `read_samples`), which reads
+    the face from its samples file each time `image` is read, or a
+    `FaceCrop` (from `synchronize`), which crops it from its frame each
+    time; a FrameRecord of the prepared face serves too. Each has
+    `timestamp_s` and `image`; the first two make a new array on each read
+    and refuse an assignment to `image` (AttributeError).
     """
 
     segments: dict
-    face: FrameRecord | FaceCrop
+    face: StoredFace | FaceCrop | FrameRecord
     label: AffectLabel
     subject_id: str
     session_id: str
@@ -246,12 +276,22 @@ def _unit_pixels(pixels: np.ndarray) -> np.ndarray:
     return pixels / 255.0
 
 
+def _lines_read(i0: np.ndarray, i1: np.ndarray, n: int) -> tuple:
+    """The lines (rows or columns) of an axis of `n` that the indices `i0`
+    and `i1` read, in order, and each index as a position among them."""
+    read = np.zeros(n, dtype=bool)
+    read[i0] = read[i1] = True
+    position = np.cumsum(read) - 1
+    return np.flatnonzero(read), position[i0], position[i1]
+
+
 def _bilinear_sample(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """`image` at the grid `ys` x `xs`, clamped to it, as float64.
 
-    An 8-bit image is read through `_unit_pixels`, and only the box of rows
-    and columns that the grid reads, so a crop of a large frame never makes
-    a float copy of the whole frame.
+    An 8-bit image is read through `_unit_pixels`, and only at the rows and
+    columns that the grid reads, so a crop or resize of a large frame never
+    makes a float copy of the whole frame (a 64-side grid reads at most 128
+    rows and 128 columns).
     """
     h, w = image.shape
     ys = np.clip(ys, 0.0, h - 1.0)
@@ -263,9 +303,9 @@ def _bilinear_sample(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.nd
     wy = ys - y0
     wx = xs - x0
     if image.dtype == np.uint8:
-        top, left = y0.min(), x0.min()
-        image = _unit_pixels(image[top : y1.max() + 1, left : x1.max() + 1])
-        y0, y1, x0, x1 = y0 - top, y1 - top, x0 - left, x1 - left
+        rows, y0, y1 = _lines_read(y0, y1, h)
+        cols, x0, x1 = _lines_read(x0, x1, w)
+        image = _unit_pixels(image[rows][:, cols])
     # The two source rows, then their columns: the bits of four broadcast
     # 2-D gathers (the tests' reference) from less indexing work.
     row0 = image[y0]

@@ -478,11 +478,19 @@ class TestProcessedContainer:
                 shared = np.shares_memory(first.segments[c].window, second.segments[c].window)
                 assert shared == (first.session_id == second.session_id)
 
+    def test_samples_with_one_label_share_it(self, tmp_path):
+        # As `synchronize` gives them: one label object per session here.
+        path = tmp_path / "samples.bin"
+        write_samples(path, _synchronized_corpus(tmp_path))
+        by_value = {}
+        for s in read_samples(path):
+            assert by_value.setdefault(label_targets(s.label).tobytes(), s.label) is s.label
+        assert len(by_value) == 2
+
     def test_written_read_and_written_again_keeps_the_bytes(self, tmp_path):
-        # Read back, the spans lie side by side in one buffer; the rewrite
-        # must not merge them. With one EDA span for three samples, their
-        # second and third ECG spans are neighbours, so the last window of
-        # one ends exactly where the first window of the next starts.
+        # Spans of one channel that the file stores next to each other must
+        # not merge when it is read and written again: with one EDA span for
+        # three samples, their second and third ECG spans are neighbours.
         shared = np.random.default_rng(0).uniform(0, 1, SEGMENT_LEN + 200)
         one_eda_span = [_sample(i) for i in range(3)]
         for i, s in enumerate(one_eda_span):
@@ -667,6 +675,125 @@ class TestProcessedContainer:
             read_samples(path)
 
 
+def face_at(n, i):
+    """Byte offset of sample `i`'s face in a file of `n` `_sample`s."""
+    return sample_at(2 * n) + i * (FACE + 8 * 16 * 16) + FACE
+
+
+class TestStoredFace:
+    """A read sample's face stays in the samples file until its `image` is read."""
+
+    def test_faces_read_back_bit_for_bit(self, tmp_path):
+        samples = [_sample(i) for i in range(3)]
+        samples[1].face = FrameRecord(1.5, np.random.default_rng(5).uniform(0, 1, (8, 8)))
+        path = tmp_path / "samples.bin"
+        write_samples(path, samples)
+        back = read_samples(path)
+        for a, b in zip(samples, back):
+            assert isinstance(b.face, session_io.StoredFace)
+            assert b.face.timestamp_s == a.face.timestamp_s
+            assert _same_bits(b.face.image, a.face.image)
+        assert back[0].face.offset == face_at(3, 0)
+        assert back[1].face.side == 8
+
+    def test_each_read_is_a_new_writable_contiguous_float64_array(self, tmp_path):
+        path = tmp_path / "samples.bin"
+        write_samples(path, [_sample(0)])
+        (back,) = read_samples(path)
+        first, second = back.face.image, back.face.image
+        for arr in (first, second):
+            assert arr.dtype == np.float64 and arr.shape == (16, 16)
+            assert arr.flags.writeable and arr.flags.c_contiguous and arr.flags.owndata
+        assert not np.shares_memory(first, second)
+        want = second.copy()
+        first[:] = 0.5
+        second[:] = 0.25
+        assert _same_bits(back.face.image, want)
+        with pytest.raises(AttributeError):
+            back.face.image = want
+
+    def test_a_later_face_that_is_not_finite_is_refused_at_load(self, tmp_path):
+        # Faces after the first are read into the buffer the first was read
+        # into; the check and the offset are the same for each.
+        path = tmp_path / "samples.bin"
+        write_samples(path, [_sample(i) for i in range(3)])
+        blob = bytearray(path.read_bytes())
+        at = face_at(3, 2)
+        blob[at + 8 * 30 : at + 8 * 31] = np.array([np.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptionError, match=rf"samples\.bin: face payload at byte offset "
+                                                  rf"{at}: frame image contains non-finite values$"):
+            read_samples(path)
+
+    @pytest.mark.parametrize("change, refused, why", [
+        ("replaced", (0, 1), "the file changed after it was read"),
+        ("truncated", (0, 1), "the file changed after it was read"),
+        ("rewritten", (0, 1), "the file changed after it was read"),
+        ("deleted", (0, 1), "the file cannot be opened again"),
+        ("NaN written, times kept", (1,), "frame image contains non-finite values"),
+    ], ids=["replaced", "truncated", "rewritten", "deleted", "nan-in-place"])
+    def test_a_file_changed_after_the_load_refuses_the_next_read(self, tmp_path, change,
+                                                                 refused, why):
+        import os
+
+        path = tmp_path / "samples.bin"
+        samples = [_sample(0), _sample(1)]
+        write_samples(path, samples)
+        back = read_samples(path)
+        blob = path.read_bytes()
+        stat = path.stat()
+        if change == "replaced":  # the same bytes, in another file moved over it
+            other = tmp_path / "other.bin"
+            other.write_bytes(blob)
+            os.replace(other, path)
+        elif change == "truncated":
+            os.truncate(path, len(blob) - 8)
+        elif change == "rewritten":  # the same bytes, written a second later
+            path.write_bytes(blob)
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+        elif change == "deleted":
+            path.unlink()
+        else:  # size, inode and times as they were: only the values tell
+            with open(path, "r+b") as f:
+                f.seek(face_at(2, 1) + 8 * 100)
+                f.write(np.array([np.nan], dtype="<f8").tobytes())
+            os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        for i, (a, b) in enumerate(zip(samples, back)):
+            if i in refused:
+                with pytest.raises(CorruptionError, match=rf"samples\.bin: face payload at byte "
+                                                          rf"offset {face_at(2, i)}: {why}"):
+                    b.face.image
+            else:
+                assert _same_bits(b.face.image, a.face.image)
+
+    def test_a_face_is_found_after_a_change_of_directory(self, tmp_path, monkeypatch):
+        sample = _sample(0)
+        write_samples(tmp_path / "samples.bin", [sample])
+        monkeypatch.chdir(tmp_path)
+        (back,) = read_samples("samples.bin")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert _same_bits(back.face.image, sample.face.image)
+
+    def test_no_file_is_left_open(self, tmp_path, monkeypatch):
+        import os
+
+        path = tmp_path / "samples.bin"
+        write_samples(path, [_sample(0), _sample(1)])
+        files = record_opens(monkeypatch, session_io)
+        back = read_samples(path)
+        assert len(files) == 1 and files[0].closed
+        for s in back:
+            s.face.image
+            s.face.image
+        os.truncate(path, path.stat().st_size - 1)
+        with pytest.raises(CorruptionError):
+            back[0].face.image
+        assert len(files) == 1 + 4 + 1
+        assert all(f.closed for f in files)
+
+
 class TestDamagedContainer:
     """A samples file cut short or with any one byte changed reads, or
     raises a CorruptionError that names a byte offset; nothing else."""
@@ -784,6 +911,33 @@ class TestStreamingRead:
         assert window_bytes > 0.25 * (span_bytes + face_and_label_bytes)
         assert peak <= 1.25 * (span_bytes + face_and_label_bytes), peak
 
+    def test_peak_is_the_spans_and_labels_plus_one_face(self, tmp_path):
+        # The faces stay in the file, read one at a time through one buffer:
+        # holding them all would pass the bound by more than 100 KB.
+        import struct
+        import tracemalloc
+
+        samples = _synchronized_corpus(tmp_path)
+        path = tmp_path / "samples.bin"
+        write_samples(path, samples)
+        blob = path.read_bytes()
+        span_bytes, at = 0, SPANS_AT
+        for _ in range(struct.unpack_from("<I", blob, 16)[0]):
+            (length,) = struct.unpack_from("<I", blob, at + 1)
+            span_bytes += 8 * length
+            at += 5 + 8 * length
+        tracemalloc.start()
+        try:
+            back = read_samples(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        label_bytes = 8 * 10 * len(back)
+        face_bytes = 8 * 64 * 64
+        bound = 1.25 * (span_bytes + label_bytes) + face_bytes
+        assert face_bytes * len(back) > bound
+        assert peak <= bound, (peak, bound)
+
     def test_arrays_are_writable_contiguous_float64(self, tmp_path):
         path = tmp_path / "samples.bin"
         write_samples(path, [_sample(0), _sample(1)])
@@ -815,6 +969,28 @@ class TestStreamingRead:
                 read_samples(path)
         assert len(files) == 1 + len(bad)
         assert all(f.closed for f in files)
+
+    def test_a_read_that_comes_back_short_is_read_on(self, tmp_path):
+        # An unbuffered file may return fewer bytes than asked although more
+        # follow; the reader asks again until the field is whole.
+        import io
+
+        from bioaffect.errors import BlobReader
+
+        class Trickle(io.FileIO):
+            def readinto(self, buffer):
+                return super().readinto(memoryview(buffer)[:3])
+
+        path = tmp_path / "samples.bin"
+        values = np.random.default_rng(0).uniform(0, 1, 9)
+        path.write_bytes(b"BAFS" + values.tobytes())
+        with Trickle(path, "rb") as f:
+            reader = BlobReader(path, f)
+            assert reader.take(4, "magic") == b"BAFS"
+            assert _same_bits(reader.floats((4,), "label"), values[:4])
+            (rest,) = reader.finite_floats([((5,), "window")])
+            assert _same_bits(rest, values[4:])
+            reader.finish("window")
 
     def test_a_file_that_shrinks_while_read_gives_the_same_error(self, tmp_path):
         from bioaffect.errors import BlobReader

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bioaffect import bmmn, signals
-from bioaffect.errors import IngestError, ValidationError
+from bioaffect.errors import IngestError, ShapeError, ValidationError
 from bioaffect.signals import (
     SEGMENT_LEN,
     AffectLabel,
@@ -259,6 +259,42 @@ class TestEightBitFrames:
             tracemalloc.stop()
         assert peak < 8 * pixels.size / 2, peak
 
+    # sha256 of the face that a resize (no landmarks) of each frame gave
+    # when the whole frame was scaled onto [0, 1] first.
+    @pytest.mark.parametrize("shape, side, digest", [
+        ((480, 640), 64, "5475be6e5f75c78ea9cf83414c1821022e0a6b335c74e60646de5b4a6a0b6412"),
+        ((80, 80), 64, "0b75c480ba968adf7e5cc926b3d34fa4beca19f46ed3c02a2e831a45a087b719"),
+        ((37, 91), 16, "18ec6446d5ac0972adf0438dbd5b6aa6a97a0b91e623bd5959a66499f1d2c225"),
+        # scaled up: the grid runs past, and is clamped at, every edge
+        ((20, 30), 64, "9db032d61f9128751da64601030e039f02e0659e606f1beea8423e39daba70a8"),
+        ((1, 7), 4, "4546f98eec609e1ce99bf4182d67699bd6c18ee35a98199e6371f34b4f6c5e44"),
+    ], ids=["640x480", "80x80", "91x37", "30x20-up", "7x1-up"])
+    def test_a_resize_gives_the_pinned_bits(self, monkeypatch, shape, side, digest):
+        import hashlib
+
+        pixels = np.random.default_rng(shape[0] * 1000 + shape[1]).integers(
+            0, 256, shape, dtype=np.uint8)
+        face = prepare_face(FrameRecord(1.0, pixels), side=side).image
+        assert hashlib.sha256(face.tobytes()).hexdigest() == digest
+        monkeypatch.setattr(signals, "_bilinear_sample", bilinear_sample_four_gather)
+        want = resize_image(pixels.astype(np.float64) / 255.0, side)
+        assert np.array_equal(face.view(np.uint64), want.view(np.uint64))
+
+    def test_a_resize_of_a_large_frame_scales_only_the_lines_it_reads(self):
+        # A 64-side grid reads at most 128 of the 480 rows and of the 640
+        # columns; the whole frame as float64 is 2.46 MB.
+        import tracemalloc
+
+        pixels = np.random.default_rng(2).integers(0, 256, (480, 640), dtype=np.uint8)
+        frame = FrameRecord(1.0, pixels)
+        tracemalloc.start()
+        try:
+            prepare_face(frame, side=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * pixels.size / 4, peak
+
     def test_synchronized_faces_are_float(self):
         pixels = np.full((20, 20), 255, dtype=np.uint8)
         traces = {c: make_trace(np.linspace(0.0, 1.0, 400), channel=c)
@@ -439,6 +475,15 @@ class TestDomainTypes:
         window[7] = np.nan
         with pytest.raises(ValidationError):
             BioSegment(Channel.ECG, window, 0)
+
+    def test_a_segment_of_a_checked_trace_has_its_shape_checked(self):
+        window = np.full(SEGMENT_LEN, 0.25)
+        segment = BioSegment.of_checked_trace(Channel.EDA, window, 3)
+        assert segment.window is window
+        assert (segment.channel, segment.frame_index) == (Channel.EDA, 3)
+        assert segment == BioSegment(Channel.EDA, window, 3)
+        with pytest.raises(ShapeError):
+            BioSegment.of_checked_trace(Channel.ECG, np.zeros(SEGMENT_LEN - 1), 0)
 
     def test_sample_requires_both_channels(self):
         seg = BioSegment(Channel.ECG, np.zeros(SEGMENT_LEN), 0)
