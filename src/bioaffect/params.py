@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BlobReader, CorruptionError, GraphError
-from .files import write_file
+from .errors import CorruptionError, GraphError
+from .files import BlobReader, write_file
 from .tensor import Tensor
 
 _MAGIC = b"BAPC"

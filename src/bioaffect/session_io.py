@@ -54,8 +54,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BlobReader, CorruptionError, IngestError, ParseError, ValidationError
-from .files import read_json_lines, read_lines, write_file, write_json
+from .errors import CorruptionError, IngestError, ParseError, ValidationError
+from .files import BlobReader, read_json_lines, read_lines, write_file, write_json
 from .signals import (
     MODEL_HZ,
     SEGMENT_LEN,
@@ -113,6 +113,8 @@ def read_pgm(path) -> np.ndarray:
         w, h, maxval = (int(f) for f in fields)
     except ValueError as exc:
         raise ParseError(f"{path}: bad PGM header") from exc
+    if w <= 0 or h <= 0:
+        raise ParseError(f"{path}: PGM width and height must be positive, got {w} x {h}")
     if maxval != 255:
         raise ParseError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
     pixels = np.frombuffer(blob[pos : pos + w * h], dtype=np.uint8)
@@ -267,6 +269,9 @@ def _read_landmarks_csv(path) -> dict:
             coords = [float(p) for p in parts[1:]]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: non-numeric field") from exc
+        bad = [c for c in coords if not math.isfinite(c)]
+        if bad:
+            raise ParseError(f"{path}:{lineno}: landmark coordinate {bad[0]!r} is not finite")
         table[idx] = [(coords[i], coords[i + 1]) for i in range(0, len(coords), 2)]
     return table
 
@@ -505,33 +510,24 @@ class StoredFace:
         """The face, as a new C-contiguous float64 array.
 
         The file is opened, checked by `fstat` to be the file that was read,
-        read at `offset` and closed. A file that was replaced, resized,
-        rewritten or removed since raises a CorruptionError that names the
-        path and the face's byte offset.
+        read at `offset` as `read_samples` read it, and closed. A file that
+        was replaced, resized, rewritten or removed since raises a
+        CorruptionError that names the path and the face's byte offset.
         """
-        (path, stamp), offset = self.file, self.offset
-
-        def refused(why) -> CorruptionError:
-            return CorruptionError(f"{path}: face payload at byte offset {offset}: {why}")
-
+        (path, stamp), at = self.file, f"face payload at byte offset {self.offset}"
         try:
             f = open(path, "rb")
         except OSError as exc:
-            raise refused(f"the file cannot be opened again ({exc.strerror}); "
-                          f"it must stay in place while its samples are used") from None
+            raise CorruptionError(f"{path}: {at}: the file cannot be opened again "
+                                  f"({exc.strerror}); it must stay in place while its samples "
+                                  f"are used") from None
         with f:
-            if _stamp(os.fstat(f.fileno())) != stamp:
-                raise refused("the file changed after it was read; it must stay as it was "
-                              "while its samples are used")
-            image = np.empty((self.side, self.side), dtype="<f8")
-            f.seek(offset)
-            got = f.readinto(image)
-        if got != image.nbytes:
-            raise refused(f"truncated: needs {image.nbytes} bytes, {got} read")
-        try:
-            return finite_image(image)
-        except IngestError as exc:
-            raise refused(exc) from None
+            f.seek(self.offset)
+            reader = BlobReader(path, f)
+            if _stamp(reader.stat) != stamp:
+                raise CorruptionError(f"{path}: {at}: the file changed after it was read; it "
+                                      f"must stay as it was while its samples are used")
+            return reader.checked_floats(finite_image, (self.side, self.side), "face payload")
 
 
 def _scaled_trace(values: np.ndarray) -> np.ndarray:
@@ -563,15 +559,6 @@ def read_samples(path) -> list:
     # held beside the face buffer at the peak.
     with open(path, "rb", buffering=0) as f:
         reader = BlobReader(path, f)
-
-        def checked(build, shape, field, out=None):
-            """`build` of the next float array; its domain error names the field's offset."""
-            start = reader.offset
-            try:
-                return build(reader.floats(shape, field, out))
-            except (ValidationError, IngestError) as exc:
-                raise CorruptionError(f"{path}: {field} at byte offset {start}: {exc}") from None
-
         if reader.take(4, "magic") != _SAMPLES_MAGIC:
             raise CorruptionError(f"{path}: not a processed-sample file (bad magic at byte offset 0)")
         version, count, seg_len = reader.unpack("<III", "header")
@@ -601,7 +588,8 @@ def read_samples(path) -> list:
             if why:
                 raise CorruptionError(f"{path}: span {k} at byte offset {reader.offset - 5}: {why}")
             channel = _CHANNELS[code]
-            spans.append((channel, checked(_scaled_trace, (length,), f"{channel.value} span {k}")))
+            spans.append((channel, reader.checked_floats(_scaled_trace, (length,),
+                                                         f"{channel.value} span {k}")))
         window_fields = [(c, f"{c.value} window") for c in _CHANNELS]
         # Absolute, so that a face is found again after a change of directory.
         source = (Path(os.path.abspath(path)), _stamp(reader.stat))
@@ -623,7 +611,7 @@ def read_samples(path) -> list:
             subject_id = reader.text("subject id")
             session_id = reader.text("session id")
             frame_index, timestamp = reader.unpack("<Id", "frame index and timestamp")
-            label = checked(label_of, (10,), "label", values)
+            label = reader.checked_floats(label_of, (10,), "label", values)
             segments = {}
             for channel, field in window_fields:
                 k, offset = reader.unpack("<II", field)
@@ -643,7 +631,7 @@ def read_samples(path) -> list:
             (side,) = reader.unpack("<I", "face side")
             face_at = reader.offset
             reuse = face if face is not None and face.shape == (side, side) else None
-            face = checked(finite_image, (side, side), "face payload", reuse)
+            face = reader.checked_floats(finite_image, (side, side), "face payload", reuse)
             samples.append(
                 SyncedSample(
                     segments=segments,

@@ -11,14 +11,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import IngestError, ShapeError, ValidationError
-
-if TYPE_CHECKING:
-    from .session_io import StoredFace
 
 MODEL_HZ = 128.0
 SEGMENT_LEN = 1000
@@ -164,16 +160,16 @@ class BioSegment:
 class SyncedSample:
     """One training instance: per-channel segments + face + label.
 
-    `face` is a `session_io.StoredFace` (from `read_samples`), which reads
-    the face from its samples file each time `image` is read, or a
-    `FaceCrop` (from `synchronize`), which crops it from its frame each
-    time; a FrameRecord of the prepared face serves too. Each has
-    `timestamp_s` and `image`; the first two make a new array on each read
-    and refuse an assignment to `image` (AttributeError).
+    `face` is any object with a `timestamp_s` and an `image`, the prepared
+    face as a square float64 array. `read_samples` gives a stored face,
+    which reads it from its samples file each time `image` is read, and
+    `synchronize` a `FaceCrop`, which crops it from its frame each time;
+    both make a new array on each read and refuse an assignment to `image`
+    (AttributeError). A FrameRecord of the prepared face serves too.
     """
 
     segments: dict
-    face: StoredFace | FaceCrop | FrameRecord
+    face: object
     label: AffectLabel
     subject_id: str
     session_id: str
@@ -328,6 +324,8 @@ def _landmark_box(landmarks) -> tuple:
     pts = np.asarray(landmarks, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise IngestError("need at least two (x, y) landmarks to crop")
+    if not np.isfinite(pts).all():
+        raise IngestError("landmarks must be finite to crop")
     x0, y0 = pts[:, 0].min(), pts[:, 1].min()
     x1, y1 = pts[:, 0].max(), pts[:, 1].max()
     if x1 <= x0 or y1 <= y0:
@@ -359,21 +357,21 @@ def crop_face(full_image: np.ndarray, landmarks, side: int = 64) -> np.ndarray:
     return _bilinear_sample(full_image, ys, xs)
 
 
-def prepare_face(frame: FrameRecord, side: int = 64) -> FrameRecord:
-    """Crop by landmarks when available, else resize.
+def prepare_face(frame: FrameRecord, side: int = 64) -> np.ndarray:
+    """The face of `frame` as a new side x side float64 array: cropped by
+    landmarks when available, else resized.
 
     An 8-bit frame becomes float here: of the pixels the crop or resize
     reads (`_bilinear_sample`), or of the whole frame if it is already the
-    face's size.
+    face's size. A float frame of that size is copied, so the face never
+    shares the frame's memory.
     """
     image = frame.image
     if frame.landmarks:
-        face = crop_face(image, frame.landmarks, side=side)
-    elif image.shape != (side, side):
-        face = resize_image(image, side)
-    else:
-        face = _unit_pixels(image) if image.dtype == np.uint8 else image
-    return FrameRecord(timestamp_s=frame.timestamp_s, image=face)
+        return crop_face(image, frame.landmarks, side=side)
+    if image.shape != (side, side):
+        return resize_image(image, side)
+    return _unit_pixels(image) if image.dtype == np.uint8 else image.copy()
 
 
 class FaceCrop:
@@ -396,7 +394,7 @@ class FaceCrop:
 
     @property
     def image(self) -> np.ndarray:
-        return prepare_face(self.frame, side=self.side).image
+        return prepare_face(self.frame, side=self.side)
 
 
 def synchronize(

@@ -436,6 +436,8 @@ class TestMalformedInputs:
         ("frames/frames.csv", 1, 1, "frame 1 timestamp nan is not finite"),
         ("patient00_therapy_EDA.csv", 500, 0, "timestamp is not a number"),
         ("patient00_therapy_ECG.csv", 700, 1, "sample value nan is not finite"),
+        # no header: row 0 edits the file's second line, frame 1
+        ("frames/landmarks.csv", 0, 3, "landmark coordinate nan is not finite"),
     ])
     def test_non_finite_session_field_exits_1(self, tmp_path, capsys, damaged, row, field,
                                               message):
@@ -459,6 +461,26 @@ class TestMalformedInputs:
                              "--out", str(out)])
         assert code == 1
         assert f"{path}:{row + 2}: {message}" in capsys.readouterr().err
+        assert not Path(str(out) + ".json").exists()
+
+    @pytest.mark.parametrize("header", [b"P5\n-1 -1\n255\n", b"P5\n0 5\n255\n"])
+    def test_pgm_without_positive_dimensions_exits_1(self, tmp_path, capsys, header):
+        from bioaffect.bmmn import BmmnModel, save_model
+
+        model_dir = tmp_path / "model"
+        save_model(BmmnModel.build_toy("bmmn"), model_dir)
+        spec = tmp_path / "therapy.json"
+        spec.write_text(json.dumps({"kind": "therapy", "minutes": 1.0, "fps": 0.2}))
+        assert dispatch(["synth", "--spec", str(spec), "--out", str(tmp_path / "t")]) == 0
+        session = tmp_path / "t" / "patient00_therapy"
+        pgm = session / "frames" / "1.pgm"
+        pgm.write_bytes(header)
+        out = tmp_path / "assessment"
+        with np.errstate(all="raise", under="ignore"):  # as `main` sets them
+            code = dispatch(["assess", "--model", str(model_dir), "--session", str(session),
+                             "--out", str(out)])
+        assert code == 1
+        assert f"{pgm}: PGM width and height must be positive" in capsys.readouterr().err
         assert not Path(str(out) + ".json").exists()
 
     @pytest.mark.parametrize("damage, message", [

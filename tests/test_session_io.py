@@ -81,6 +81,14 @@ class TestPgm:
         with pytest.raises(ParseError):
             read_pgm(path)
 
+    @pytest.mark.parametrize("header", [b"P5\n-1 -1\n255\n", b"P5\n0 5\n255\n",
+                                        b"P5\n5 0\n255\n"])
+    def test_rejects_dimensions_that_are_not_positive(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header + bytes(25))
+        with pytest.raises(ParseError, match=r"bad\.pgm: PGM width and height must be positive"):
+            read_pgm(path)
+
 
 def _signal_body(sep="\n", end="\n", row="{t!r},{v!r}", n=400, start=0.0):
     """A `time_s,value` file of `n` rows at 128 Hz from `start` s: rows `row`
@@ -340,6 +348,15 @@ class TestLoadSession:
         frames_csv.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=rf"frames\.csv:{row + 2}: frame {row} "
                                              rf"timestamp {time} is not finite$"):
+            load_session(session_dir)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_landmark_reports_file_line(self, tmp_path, value):
+        session_dir = write_minimal_session(tmp_path)
+        landmarks = session_dir / "frames" / "landmarks.csv"
+        landmarks.write_text(f"0,10.0,12.0,50.0,52.0\n\n1,10.0,12.0,{value},52.0\n")
+        with pytest.raises(ParseError, match=rf"landmarks\.csv:3: landmark coordinate "
+                                             rf"{float(value)!r} is not finite$"):
             load_session(session_dir)
 
     def test_non_numeric_valence_reports_labels_line(self, tmp_path):
@@ -852,6 +869,60 @@ class TestDamagedContainer:
         path.write_bytes(bytes(damaged))
         self.read_or_refuse(path)
 
+    @staticmethod
+    def face_at(i):
+        """Byte offset of sample `i`'s 4 x 4 face: after the four spans of
+        1768 samples, each sample's record is `FACE` bytes and its face."""
+        return SPANS_AT + 4 * (5 + 8 * 1768) + i * (FACE + 8 * 16) + FACE
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_byte_flip_in_a_face_after_the_load(self, tmp_path, blob, data):
+        # Size, inode and times as they were at the load: only the values
+        # tell. The read gives the bytes now in the file, or refuses them.
+        # (Of the values on [0, 1], one flipped byte can make only 1.0 non-
+        # finite, and these faces hold none; a NaN written in place is
+        # refused in `TestStoredFace`.)
+        import os
+
+        i = data.draw(st.integers(0, 7))
+        at = self.face_at(i)
+        flip = at + data.draw(st.integers(0, 8 * 16 - 1))
+        xor = data.draw(st.integers(1, 255))
+        path = tmp_path / "samples.bin"
+        path.write_bytes(blob)
+        back = read_samples(path)
+        stat = path.stat()
+        with open(path, "r+b") as f:
+            f.seek(flip)
+            f.write(bytes([blob[flip] ^ xor]))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        try:
+            image = back[i].face.image
+        except CorruptionError as exc:
+            assert re.search(rf"samples\.bin: face payload at byte offset {at}: ", str(exc))
+        else:
+            assert np.isfinite(image).all()
+            now = np.frombuffer(path.read_bytes()[at : at + 8 * 16], "<f8").reshape(4, 4)
+            assert _same_bits(image, now)
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_truncation_after_the_load(self, tmp_path, blob, data):
+        import os
+
+        i = data.draw(st.integers(0, 7))
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        path = tmp_path / "samples.bin"
+        path.write_bytes(blob)
+        back = read_samples(path)
+        os.truncate(path, cut)
+        at = self.face_at(i)
+        with pytest.raises(CorruptionError, match=rf"samples\.bin: .*byte offset {at}:"):
+            back[i].face.image
+
 
 class TestStreamingRead:
     def _samples(self, n=20, side=64):
@@ -975,7 +1046,7 @@ class TestStreamingRead:
         # follow; the reader asks again until the field is whole.
         import io
 
-        from bioaffect.errors import BlobReader
+        from bioaffect.files import BlobReader
 
         class Trickle(io.FileIO):
             def readinto(self, buffer):
@@ -993,7 +1064,7 @@ class TestStreamingRead:
             reader.finish("window")
 
     def test_a_file_that_shrinks_while_read_gives_the_same_error(self, tmp_path):
-        from bioaffect.errors import BlobReader
+        from bioaffect.files import BlobReader
 
         path = tmp_path / "samples.bin"
         for read, size, cut, start, needs, remain in (

@@ -203,6 +203,11 @@ class TestCropFace:
         with pytest.raises(IngestError):
             crop_face(np.zeros((10, 10)), [(1.0, 1.0)])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_landmarks_rejected(self, bad):
+        with pytest.raises(IngestError, match="landmarks must be finite"):
+            crop_face(np.zeros((10, 10)), [(1.0, 1.0), (bad, 5.0), (8.0, 8.0)])
+
 
 class TestEightBitFrames:
     """A uint8 frame stays 8-bit until `prepare_face`, which gives the bits
@@ -218,8 +223,8 @@ class TestEightBitFrames:
         frame = FrameRecord(timestamp_s=1.0, image=pixels, landmarks=landmarks)
         assert frame.image is pixels
         as_float = FrameRecord(1.0, pixels.astype(np.float64) / 255.0, landmarks)
-        face = prepare_face(frame, side=16).image
-        want = prepare_face(as_float, side=16).image
+        face = prepare_face(frame, side=16)
+        want = prepare_face(as_float, side=16)
         assert face.dtype == np.float64 and face.shape == (16, 16)
         assert np.array_equal(face.view(np.uint64), want.view(np.uint64))
 
@@ -240,7 +245,7 @@ class TestEightBitFrames:
             "small": [(0.5 * w, 0.5 * h), (0.5 * w + 9.0, 0.5 * h + 7.0)],
         }[box]
         pixels = np.random.default_rng(h).integers(0, 256, shape, dtype=np.uint8)
-        face = prepare_face(FrameRecord(1.0, pixels, landmarks), side=64).image
+        face = prepare_face(FrameRecord(1.0, pixels, landmarks), side=64)
         monkeypatch.setattr(signals, "_bilinear_sample", bilinear_sample_four_gather)
         want = crop_face(pixels.astype(np.float64) / 255.0, landmarks, side=64)
         assert face.shape == want.shape == (64, 64)
@@ -274,7 +279,7 @@ class TestEightBitFrames:
 
         pixels = np.random.default_rng(shape[0] * 1000 + shape[1]).integers(
             0, 256, shape, dtype=np.uint8)
-        face = prepare_face(FrameRecord(1.0, pixels), side=side).image
+        face = prepare_face(FrameRecord(1.0, pixels), side=side)
         assert hashlib.sha256(face.tobytes()).hexdigest() == digest
         monkeypatch.setattr(signals, "_bilinear_sample", bilinear_sample_four_gather)
         want = resize_image(pixels.astype(np.float64) / 255.0, side)
@@ -431,7 +436,7 @@ class TestSynchronize:
                               landmarks=landmarks) for i in range(3)]
         samples = synchronize(traces, frames, label, "p", "s", face_size=32)
         for sample, frame in zip(samples, frames):
-            want = prepare_face(frame, side=32).image.view(np.uint64)
+            want = prepare_face(frame, side=32).view(np.uint64)
             assert sample.face.timestamp_s == frame.timestamp_s
             first = sample.face.image
             assert np.array_equal(first.view(np.uint64), want)
@@ -441,6 +446,24 @@ class TestSynchronize:
             # The model input holds the crop that its one read made.
             model_input = bmmn.ModelInput.from_sample(sample)
             assert np.array_equal(model_input.face_image.view(np.uint64), want)
+
+    @pytest.mark.parametrize("eight_bit", [False, True])
+    def test_a_face_shares_memory_neither_with_its_frame_nor_another_read(self, eight_bit):
+        # A frame already at the face size is not cropped or resized.
+        traces, _, label = _session_pieces()
+        pixels = np.random.default_rng(6).integers(0, 256, (32, 32), np.uint8)
+        image = pixels if eight_bit else pixels / 255.0
+        frame = FrameRecord(timestamp_s=1.0, image=image)
+        (sample,) = synchronize(traces, [frame], label, "p", "s", face_size=32)
+        first, second = sample.face.image, sample.face.image
+        assert not np.shares_memory(first, second)
+        for face in (first, second):
+            assert not np.shares_memory(face, frame.image)
+        want = second.copy()
+        first[:] = 0.0
+        second[:] = 0.0
+        assert np.array_equal(sample.face.image.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(frame.image, image)
 
     def test_uncroppable_landmarks_refused_when_synchronized(self):
         traces, _, label = _session_pieces()
