@@ -43,10 +43,9 @@ def create_convs(store: ParamStore, prefix: str, blocks, first: int = 1) -> None
 
 
 def conv_relu(store: ParamStore, prefix: str, i: int, conv, h: Tensor) -> Tensor:
-    """relu(conv(h, w) + b) with block i's `{prefix}conv{i}` parameters: a
-    conv node, then one bias-ReLU node."""
-    h = conv(h, store[f"{prefix}conv{i}.w"])
-    return T.bias_relu(h, store[f"{prefix}conv{i}.b"])
+    """relu(conv(h, w) + b) with block i's `{prefix}conv{i}` parameters, as
+    one conv node with the bias-ReLU epilogue."""
+    return conv(h, store[f"{prefix}conv{i}.w"], bias_relu=store[f"{prefix}conv{i}.b"])
 
 
 @dataclass(frozen=True)

@@ -69,37 +69,40 @@ def _t(rng, *shape) -> Tensor:
     return Tensor(rng.uniform(-1.0, 1.0, size=shape), requires_grad=True)
 
 
-def _case_conv1d_valid(rng):
+def _case_conv1d_valid(rng, bias_relu=False):
     x = _t(rng, 2, 17)
     k = _t(rng, 3, 2, 5)
+    b = _t(rng, 3) if bias_relu else None
     target = rng.uniform(-1, 1, size=(3, 7))
 
     def make():
-        return T.mse_loss(T.conv1d_valid(x, k, stride=2), target)
+        return T.mse_loss(T.conv1d_valid(x, k, stride=2, bias_relu=b), target)
 
-    return make, {"x": x, "k": k}
+    return make, {"x": x, "k": k} | ({} if b is None else {"b": b})
 
 
-def _case_conv1d_full(rng):
+def _case_conv1d_full(rng, bias_relu=False):
     x = _t(rng, 2, 9)
     k = _t(rng, 3, 2, 4)
+    b = _t(rng, 3) if bias_relu else None
     target = rng.uniform(-1, 1, size=(3, 12))
 
     def make():
-        return T.mse_loss(T.conv1d_full(x, k), target)
+        return T.mse_loss(T.conv1d_full(x, k, bias_relu=b), target)
 
-    return make, {"x": x, "k": k}
+    return make, {"x": x, "k": k} | ({} if b is None else {"b": b})
 
 
-def _case_conv2d_valid(rng):
+def _case_conv2d_valid(rng, bias_relu=False):
     x = _t(rng, 2, 7, 8)
     k = _t(rng, 3, 2, 3, 3)
+    b = _t(rng, 3) if bias_relu else None
     target = rng.uniform(-1, 1, size=(3, 3, 3))
 
     def make():
-        return T.mse_loss(T.conv2d_valid(x, k, stride=2), target)
+        return T.mse_loss(T.conv2d_valid(x, k, stride=2, bias_relu=b), target)
 
-    return make, {"x": x, "k": k}
+    return make, {"x": x, "k": k} | ({} if b is None else {"b": b})
 
 
 def _case_maxpool1d(rng):
@@ -266,6 +269,10 @@ CASES = {
     "conv1d_valid": _case_conv1d_valid,
     "conv1d_full": _case_conv1d_full,
     "conv2d_valid": _case_conv2d_valid,
+    # Each conv block as one node: the conv with its bias-ReLU epilogue.
+    "conv1d_valid_bias_relu": lambda rng: _case_conv1d_valid(rng, bias_relu=True),
+    "conv1d_full_bias_relu": lambda rng: _case_conv1d_full(rng, bias_relu=True),
+    "conv2d_valid_bias_relu": lambda rng: _case_conv2d_valid(rng, bias_relu=True),
     "maxpool1d": _case_maxpool1d,
     "maxpool2d": _case_maxpool2d,
     "unpool1d": _case_unpool1d,

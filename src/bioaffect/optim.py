@@ -100,8 +100,10 @@ def fit(store: ParamStore, n_items: int, epochs: int, batch_size: int, lr: float
     1 / |batch| and takes one `adam_step`. A non-finite item loss, or a
     non-finite gradient before the step, raises NonFiniteError naming the
     epoch, the batch and the item or the first such parameter; the grads
-    are then left for inspection. On return every grad buffer is released,
-    so a trained store holds values only, as a loaded one does.
+    are then left for inspection. Each item's graph is dropped once it has
+    been backpropagated, so a batch holds one graph at a time and none
+    during the step. On return every grad buffer is released, so a trained
+    store holds values only, as a loaded one does.
     """
     state = AdamState(store, lr=lr)
     history = []
@@ -118,6 +120,7 @@ def fit(store: ParamStore, n_items: int, epochs: int, batch_size: int, lr: float
                 if not np.isfinite(loss.data).all():
                     raise NonFiniteError(f"{where}, item {j}: loss is {loss.item()!r}")
                 (loss * (1.0 / batch.size)).backward()
+                del loss  # frees item j's graph before item j + 1 builds its own
                 rows.append(terms)
             for name, p in store.items():
                 if not np.isfinite(p.grad).all():

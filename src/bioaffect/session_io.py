@@ -120,6 +120,8 @@ def read_pgm(path) -> np.ndarray:
     pixels = np.frombuffer(blob[pos : pos + w * h], dtype=np.uint8)
     if pixels.size != w * h:
         raise ParseError(f"{path}: truncated pixel data")
+    if len(blob) > pos + w * h:
+        raise ParseError(f"{path}: {len(blob) - pos - w * h} bytes after the {w} x {h} pixels")
     return pixels.reshape(h, w)
 
 
@@ -272,6 +274,8 @@ def _read_landmarks_csv(path) -> dict:
         bad = [c for c in coords if not math.isfinite(c)]
         if bad:
             raise ParseError(f"{path}:{lineno}: landmark coordinate {bad[0]!r} is not finite")
+        if idx in table:
+            raise ParseError(f"{path}:{lineno}: frame index {idx} repeated")
         table[idx] = [(coords[i], coords[i + 1]) for i in range(0, len(coords), 2)]
     return table
 

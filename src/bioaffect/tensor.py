@@ -31,7 +31,10 @@ references in the test suite. Both 1-D convs run on one primitive,
 `_correlate`: each one's input gradient is the other mode (valid or
 full) over the kernels with their in/out axes swapped. The FFT-or-matmul
 path is chosen once per op call, from the forward's work, and both
-gradients reuse that choice.
+gradients reuse that choice. A conv given `bias_relu=b` is a whole conv
+block in one node: its output is relu(conv + b), with the bits of the
+`bias_relu` node after the conv, and it keeps no pre-activation, since
+the output is positive exactly where the pre-activation is.
 
 The non-FFT kernels give the bits of their plain formulations. Below the
 FFT threshold a 1-D conv forms every kernel tap's product in one stacked
@@ -402,8 +405,9 @@ def _correlate(
     return _tap_sum(placed)
 
 
-def _conv1d(x: Tensor, kernels: Tensor, stride: int, full: bool) -> Tensor:
-    """One 1-D conv node; the FFT-or-matmul choice is made once, from the forward's work."""
+def _conv1d(x: Tensor, kernels: Tensor, stride: int, full: bool, bias) -> Tensor:
+    """One 1-D conv node, with the bias-ReLU epilogue unless `bias` is None;
+    the FFT-or-matmul choice is made once, from the forward's work."""
     if x.data.ndim != 2:
         raise ShapeError(f"conv1d: input must be (channels, length), got {x.data.shape}")
     if kernels.data.ndim != 3:
@@ -432,6 +436,8 @@ def _conv1d(x: Tensor, kernels: Tensor, stride: int, full: bool) -> Tensor:
     work = xd.shape[0] * k_width * (length if full else out_len)
     use_fft = stride == 1 and work > _FFT_WORK_THRESHOLD
     out_data = _correlate(xd, kernels, full, False, out_len, stride, use_fft)
+    if bias is not None:
+        out_data = _bias_relu_forward("conv1d_full" if full else "conv1d_valid", out_data, bias)
 
     def kernel_grad(g):
         if use_fft and full:
@@ -448,36 +454,47 @@ def _conv1d(x: Tensor, kernels: Tensor, stride: int, full: bool) -> Tensor:
         return np.ascontiguousarray(gw_taps.transpose(1, 2, 0))
 
     def backprop(g):
+        if bias is not None:
+            g = _bias_relu_backward(out_data, bias, g)
         if _needs_grad(kernels):
             _accumulate(kernels, kernel_grad(g))
         if _needs_grad(x):
             _accumulate(x, _correlate(g, kernels, not full, True, length, stride, use_fft))
 
-    return _node(out_data, (x, kernels), backprop)
+    return _node(out_data, (x, kernels) if bias is None else (x, kernels, bias), backprop)
 
 
-def conv1d_valid(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
+def conv1d_valid(x: Tensor, kernels: Tensor, stride: int = 1, *, bias_relu=None) -> Tensor:
     """Valid cross-correlation: (C_in, L) x (C_out, C_in, K) -> (C_out, L').
 
     L' = floor((L - K) / stride) + 1. Differentiable with respect to both
-    the input and the kernels.
+    the input and the kernels. Given `bias_relu=b`, one bias per output
+    channel, the node is the whole conv block `bias_relu(conv1d_valid(x, w), b)`,
+    with its bits.
     """
-    return _conv1d(as_tensor(x), as_tensor(kernels), stride, full=False)
+    return _conv1d(as_tensor(x), as_tensor(kernels), stride, False, _optional_tensor(bias_relu))
 
 
-def conv1d_full(x: Tensor, kernels: Tensor) -> Tensor:
+def conv1d_full(x: Tensor, kernels: Tensor, *, bias_relu=None) -> Tensor:
     """Full (transposed) cross-correlation: output length L + K - 1.
 
     out[o, t] = sum over c, k of x[c, t - k] * kernels[o, c, k]: the
     adjoint of `conv1d_valid` at stride 1 with the kernel in/out axes
-    swapped.
+    swapped. `bias_relu=b` adds the epilogue, as in `conv1d_valid`.
     """
-    return _conv1d(as_tensor(x), as_tensor(kernels), 1, full=True)
+    return _conv1d(as_tensor(x), as_tensor(kernels), 1, True, _optional_tensor(bias_relu))
 
 
-def conv2d_valid(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
-    """Valid 2D cross-correlation: (C_in, H, W) x (C_out, C_in, KH, KW)."""
-    x, kernels = as_tensor(x), as_tensor(kernels)
+def _optional_tensor(bias):
+    return None if bias is None else as_tensor(bias)
+
+
+def conv2d_valid(x: Tensor, kernels: Tensor, stride: int = 1, *, bias_relu=None) -> Tensor:
+    """Valid 2D cross-correlation: (C_in, H, W) x (C_out, C_in, KH, KW).
+
+    `bias_relu=b` adds the epilogue, as in `conv1d_valid`.
+    """
+    x, kernels, bias = as_tensor(x), as_tensor(kernels), _optional_tensor(bias_relu)
     if x.data.ndim != 3:
         raise ShapeError(f"conv2d: input must be (channels, H, W), got {x.data.shape}")
     if kernels.data.ndim != 4:
@@ -512,8 +529,13 @@ def conv2d_valid(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
         for b in range(kw):
             sl = xd[:, a : a + span_h : stride, b : b + span_w : stride]
             out_flat += tap_product(w[:, :, a, b], sl.reshape(c_in, -1))
+    out_data = out_flat.reshape(c_out, nh, nw)
+    if bias is not None:
+        out_data = _bias_relu_forward("conv2d_valid", out_data, bias)
 
     def backprop(g):
+        if bias is not None:
+            g = _bias_relu_backward(out_data, bias, g)
         g2 = g.reshape(c_out, -1)
         if _needs_grad(kernels):
             gw = np.empty_like(w)
@@ -531,7 +553,7 @@ def conv2d_valid(x: Tensor, kernels: Tensor, stride: int = 1) -> Tensor:
                     ).reshape(c_in, nh, nw)
             _accumulate(x, gx)
 
-    return _node(out_flat.reshape(c_out, nh, nw), (x, kernels), backprop)
+    return _node(out_data, (x, kernels) if bias is None else (x, kernels, bias), backprop)
 
 
 # --- pooling ---------------------------------------------------------------
@@ -710,20 +732,18 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _node(weight.data @ x.data + bias.data, (x, weight, bias), backprop)
 
 
-def _channel_bias(op: str, x: Tensor, bias: Tensor) -> np.ndarray:
+def _channel_bias(op: str, x: np.ndarray, bias: Tensor) -> np.ndarray:
     """`bias` shaped to broadcast over `x`'s trailing axes, one entry per channel."""
-    if bias.data.ndim != 1 or bias.data.shape[0] != x.data.shape[0]:
+    if bias.data.ndim != 1 or bias.data.shape[0] != x.shape[0]:
         raise ShapeError(
             f"{op}: bias length {bias.data.shape} != channels "
-            f"(axis 0) = {x.data.shape[0]}"
+            f"(axis 0) = {x.shape[0]}"
         )
-    return bias.data.reshape((-1,) + (1,) * (x.data.ndim - 1))
+    return bias.data.reshape((-1,) + (1,) * (x.ndim - 1))
 
 
-def _route_channel_bias(x: Tensor, bias: Tensor, g: np.ndarray) -> None:
-    """Backward of `x + bias` per channel: `x` gets g, `bias` g's sum over the trailing axes."""
-    if _needs_grad(x):
-        _accumulate(x, g)
+def _accumulate_channel_sum(bias: Tensor, g: np.ndarray) -> None:
+    """Backward of a per-channel bias add, for the bias: g's sum over the trailing axes."""
     if _needs_grad(bias):
         trailing = tuple(range(1, g.ndim))
         _accumulate(bias, g.sum(axis=trailing) if trailing else g)
@@ -732,8 +752,14 @@ def _route_channel_bias(x: Tensor, bias: Tensor, g: np.ndarray) -> None:
 def add_channel_bias(x: Tensor, bias: Tensor) -> Tensor:
     """Add one bias per leading-axis channel, broadcast over trailing axes."""
     x, bias = as_tensor(x), as_tensor(bias)
-    shaped = _channel_bias("add_channel_bias", x, bias)
-    return _node(x.data + shaped, (x, bias), lambda g: _route_channel_bias(x, bias, g))
+    shaped = _channel_bias("add_channel_bias", x.data, bias)
+
+    def backprop(g):
+        if _needs_grad(x):
+            _accumulate(x, g)
+        _accumulate_channel_sum(bias, g)
+
+    return _node(x.data + shaped, (x, bias), backprop)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -751,23 +777,41 @@ def relu(x: Tensor) -> Tensor:
     return _node(out_data, (x,), backprop)
 
 
+def _bias_relu_forward(op: str, pre: np.ndarray, bias: Tensor) -> np.ndarray:
+    """relu(pre + bias per channel) in a new array: the bits of
+    `relu(add_channel_bias(pre, bias))`."""
+    out = pre + _channel_bias(op, pre, bias)
+    np.fmax(out, 0.0, out=out)
+    out += 0.0
+    return out
+
+
+def _bias_relu_backward(out: np.ndarray, bias: Tensor, g: np.ndarray) -> np.ndarray:
+    """The pre-activation's gradient, `g * (out > 0) + 0.0`, as the ReLU node
+    of the two-node chain passes it on; the bias gets its channel sums.
+
+    Only the output is read: it is positive exactly where the
+    pre-activation is.
+    """
+    g_pre = g * (out > 0)
+    g_pre += 0.0
+    _accumulate_channel_sum(bias, g_pre)
+    return g_pre
+
+
 def bias_relu(x: Tensor, bias: Tensor) -> Tensor:
     """relu(add_channel_bias(x, bias)) as one node, with the bits of the two.
 
-    The node holds only its output, not the pre-activation: the output is
-    positive exactly where the pre-activation is. Its backward hands `x`
-    and `bias` the gradient the ReLU node of the chain would have passed
-    them, `g * (out > 0) + 0.0`.
+    The conv ops apply the same epilogue given `bias_relu=`; this node is
+    for anything else, and for checking the epilogue on its own.
     """
     x, bias = as_tensor(x), as_tensor(bias)
-    out_data = x.data + _channel_bias("bias_relu", x, bias)
-    np.fmax(out_data, 0.0, out=out_data)
-    out_data += 0.0
+    out_data = _bias_relu_forward("bias_relu", x.data, bias)
 
     def backprop(g):
-        g_pre = g * (out_data > 0)
-        g_pre += 0.0
-        _route_channel_bias(x, bias, g_pre)
+        g_pre = _bias_relu_backward(out_data, bias, g)
+        if _needs_grad(x):
+            _accumulate(x, g_pre)
 
     return _node(out_data, (x, bias), backprop)
 

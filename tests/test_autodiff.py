@@ -104,6 +104,11 @@ class TestBackward:
         )
         assert all(err <= 1e-4 for err in results.values()), results
 
+    def test_conv_blocks_with_the_bias_relu_epilogue_meet_tolerance(self):
+        names = ["conv1d_valid_bias_relu", "conv1d_full_bias_relu", "conv2d_valid_bias_relu"]
+        results = run_suite(names=names, max_probes=32)
+        assert all(err <= 1e-4 for err in results.values()), results
+
     def test_composite_finite_difference(self):
         rng = np.random.default_rng(21)
         x = Tensor(rng.uniform(-1, 1, size=(1, 24)), requires_grad=True)

@@ -195,12 +195,16 @@ def test_only_one_function_scales_eight_bit_pixels():
 
 
 def test_conv_blocks_use_the_one_bias_relu_node():
-    # A conv block is a conv node plus one `bias_relu` node; the two-node
-    # chain is only for the engine itself and its gradient check.
-    pattern = re.compile(r"\badd_channel_bias\(")
-    for line in ("T.add_channel_bias(h, b)", "relu(add_channel_bias(x, bias))"):
+    # A conv block is one conv node with the bias-ReLU epilogue
+    # (`bias_relu=b`); the `bias_relu` node and the two-node chain are only
+    # for the engine itself and its gradient check.
+    pattern = re.compile(r"\b(?:bias_relu|add_channel_bias)\(")
+    for line in ("T.bias_relu(h, b)", "return bias_relu(x, b)", "T.add_channel_bias(h, b)",
+                 "relu(add_channel_bias(x, bias))"):
         assert pattern.search(line), line
-    for line in ("T.bias_relu(h, b)", "_channel_bias(op, x, bias)", '"add_channel_bias": case'):
+    for line in ("conv(h, w, bias_relu=b)", "_bias_relu_forward(op, pre, bias)",
+                 "_channel_bias(op, x, bias)", '"add_channel_bias": case',
+                 '"conv1d_valid_bias_relu": case'):
         assert not pattern.search(line), line
     found = _source_lines_matching(pattern, skip=("tensor.py", "gradcheck.py"))
     assert found == []

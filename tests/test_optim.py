@@ -1,8 +1,11 @@
 """The shared training loop, pinned to a loop written out by hand."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from bioaffect import optim
 from bioaffect import tensor as T
 from bioaffect.errors import NonFiniteError
 from bioaffect.optim import AdamState, adam_step, fit
@@ -78,6 +81,32 @@ def test_fit_releases_the_grad_buffers_and_the_store_trains_on():
     assert history == expected
     for name, t in store.items():
         assert t.data.tobytes() == expected_store[name].data.tobytes(), name
+
+
+def test_fit_holds_one_graph_at_a_time(monkeypatch):
+    # A graph holds its item's activations and backprop closures; once its
+    # backward has run nothing reads them, so the next item and the step
+    # find every earlier item's loss root freed.
+    store = _store()
+    roots = []
+    alive_at = []
+
+    def item_loss(j):
+        alive_at.append(("item", sum(r() is not None for r in roots)))
+        loss, terms = _item_loss(store, j)
+        roots.append(weakref.ref(loss))
+        return loss, terms
+
+    def step(params, state):
+        alive_at.append(("step", sum(r() is not None for r in roots)))
+        adam_step(params, state)
+
+    monkeypatch.setattr(optim, "adam_step", step)
+    fit(store, N_ITEMS, EPOCHS, BATCH, LR, np.random.default_rng(9), item_loss)
+    batches = -(-N_ITEMS // BATCH) * EPOCHS
+    assert [kind for kind, _ in alive_at].count("step") == batches
+    assert len(roots) == N_ITEMS * EPOCHS
+    assert alive_at == [(kind, 0) for kind, _ in alive_at]
 
 
 def test_fit_with_no_epochs_leaves_the_store_alone():

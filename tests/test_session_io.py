@@ -89,6 +89,13 @@ class TestPgm:
         with pytest.raises(ParseError, match=r"bad\.pgm: PGM width and height must be positive"):
             read_pgm(path)
 
+    def test_rejects_bytes_after_the_pixels(self, tmp_path):
+        # A 2 x 2 header over 7 bytes of body: the header understates the image.
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5\n2 2\n255\n" + bytes(range(1, 8)))
+        with pytest.raises(ParseError, match=r"long\.pgm: 3 bytes after the 2 x 2 pixels$"):
+            read_pgm(path)
+
 
 def _signal_body(sep="\n", end="\n", row="{t!r},{v!r}", n=400, start=0.0):
     """A `time_s,value` file of `n` rows at 128 Hz from `start` s: rows `row`
@@ -357,6 +364,13 @@ class TestLoadSession:
         landmarks.write_text(f"0,10.0,12.0,50.0,52.0\n\n1,10.0,12.0,{value},52.0\n")
         with pytest.raises(ParseError, match=rf"landmarks\.csv:3: landmark coordinate "
                                              rf"{float(value)!r} is not finite$"):
+            load_session(session_dir)
+
+    def test_repeated_landmark_frame_reports_file_line(self, tmp_path):
+        session_dir = write_minimal_session(tmp_path)
+        landmarks = session_dir / "frames" / "landmarks.csv"
+        landmarks.write_text("0,1,2,30,40\n0,5,6,7,8\n")
+        with pytest.raises(ParseError, match=r"landmarks\.csv:2: frame index 0 repeated$"):
             load_session(session_dir)
 
     def test_non_numeric_valence_reports_labels_line(self, tmp_path):

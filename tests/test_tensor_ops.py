@@ -339,6 +339,16 @@ class TestPointwise:
         out = T.add_channel_bias(x, Tensor(np.array([1.0, -1.0])))
         np.testing.assert_array_equal(out.data, [[1, 1, 1], [-1, -1, -1]])
 
+    @pytest.mark.parametrize("op, x_shape, w_shape", [
+        ("conv1d_valid", (2, 9), (3, 2, 4)), ("conv1d_full", (2, 9), (3, 2, 4)),
+        ("conv2d_valid", (2, 5, 5), (3, 2, 2, 2)),
+    ])
+    def test_conv_epilogue_takes_one_bias_per_output_channel(self, op, x_shape, w_shape):
+        x, w = Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape))
+        with pytest.raises(ShapeError, match=rf"^{op}: bias length \(2,\) != channels "
+                                             r"\(axis 0\) = 3$"):
+            getattr(T, op)(x, w, bias_relu=np.zeros(2))
+
     def test_forward_outputs_finite_on_finite_inputs(self):
         rng = np.random.default_rng(16)
         x = Tensor(rng.uniform(-10, 10, size=(3, 30)))
@@ -538,6 +548,19 @@ _CONV1D_CASES = [
     ((1, 1), (1, 1, 1), 1, True),
 ]
 
+# Every conv of the production bmmn and bae2 graphs: the bio stream, the
+# BAE encoder and decoder (FFT and stacked-matmul paths), and the face CNN.
+_PRODUCTION_CONVS = [
+    ("conv1d_valid", (1, 1000), (4, 1, 200)), ("conv1d_valid", (4, 400), (2, 4, 100)),
+    ("conv1d_valid", (2, 150), (2, 2, 50)), ("conv1d_valid", (2, 50), (2, 2, 25)),
+    ("conv1d_valid", (1, 1000), (16, 1, 200)), ("conv1d_valid", (16, 400), (8, 16, 100)),
+    ("conv1d_valid", (8, 150), (4, 8, 50)),
+    ("conv1d_full", (4, 101), (8, 4, 50)), ("conv1d_full", (8, 301), (16, 8, 100)),
+    ("conv1d_full", (16, 801), (1, 16, 200)),
+    ("conv2d_valid", (1, 64, 64), (8, 1, 3, 3)), ("conv2d_valid", (8, 31, 31), (16, 8, 3, 3)),
+    ("conv2d_valid", (16, 14, 14), (32, 16, 3, 3)),
+]
+
 
 class TestKernelsMatchReplacedFormulation:
     @pytest.mark.parametrize("kind", _KINDS)
@@ -644,6 +667,34 @@ class TestKernelsMatchReplacedFormulation:
                 if node._backprop is not None:
                     node._backprop()
             got[fused] = (out.data, xt.grad, bt.grad)
+        for fused, chain in zip(got[True], got[False]):
+            _assert_same_bits(fused, chain)
+
+    @pytest.mark.parametrize("kind", ["normal", "zeros", "signed_zeros", "nans"])
+    @pytest.mark.parametrize("op, x_shape, w_shape", _PRODUCTION_CONVS)
+    def test_conv_bias_relu_epilogue(self, op, x_shape, w_shape, kind):
+        # One conv node with `bias_relu=b` against the conv node followed by
+        # the `bias_relu` node: the output and all three gradients.
+        rng = np.random.default_rng(math.prod(x_shape) + math.prod(w_shape))
+        x, w = _conv_input(kind, x_shape, rng), _conv_input(kind, w_shape, rng)
+        b = _conv_input(kind, w_shape[:1], rng)
+        conv = getattr(T, op)
+        got = {}
+        for fused in (False, True):
+            xt, wt, bt = (Tensor(v, requires_grad=True) for v in (x, w, b))
+            for t in (xt, wt, bt):
+                t.grad = None
+            out = conv(xt, wt, bias_relu=bt) if fused else T.bias_relu(conv(xt, wt), bt)
+            if fused:
+                assert out._parents == (xt, wt, bt)
+            else:
+                g = _conv_input(kind, out.shape, rng)
+                g.flat[rng.choice(g.size, max(1, g.size // 8), replace=False)] = -0.0
+            out.grad = g
+            for node in reversed(T._toposort(out)):
+                if node._backprop is not None:
+                    node._backprop()
+            got[fused] = (out.data, xt.grad, wt.grad, bt.grad)
         for fused, chain in zip(got[True], got[False]):
             _assert_same_bits(fused, chain)
 
